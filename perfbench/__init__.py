@@ -1,0 +1,5 @@
+"""End-to-end benchmark: HTTP predict and generate, data-parallel training.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
