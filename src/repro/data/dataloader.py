@@ -64,11 +64,6 @@ class DataLoader:
         self._pre_epoch_state: dict | None = None
         self._resume_pending = False
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """Backwards-compatible alias for the shuffle stream."""
-        return self.shuffle_rng
-
     def __len__(self) -> int:
         full, remainder = divmod(len(self.inputs), self.batch_size)
         if remainder and not self.drop_last:

@@ -1,4 +1,4 @@
-"""The paper's efficient quadratic neuron (Sec. III) as dense and convolutional layers.
+r"""The paper's efficient quadratic neuron (Sec. III) as dense and convolutional layers.
 
 A single proposed neuron with fan-in ``n`` and decomposition rank ``k`` computes
 

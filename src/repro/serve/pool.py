@@ -19,28 +19,18 @@ instead of competing**:
   immediately goes back to coalescing — so up to ``workers`` fused batches
   execute concurrently, one per process.
 
-Workers are spawned (never forked — same ``REPRO_MP_START`` policy as the
-sweep executor) running :func:`worker_main`, which:
-
-* bumps ``REPRO_PARALLEL_DEPTH`` so a model that fans out internally sees
-  ``effective_jobs() == 1`` and cannot recursively spawn pools;
-* seeds deterministically via :func:`~repro.parallel.seeding.derive_seed`
-  (root seed × worker id), so *which* worker serves a shard never changes
-  the bytes it returns — model weights come from the bundle and inference
-  draws no randomness, making pool output byte-identical to
-  :class:`~repro.serve.engine.DirectEngine` for aligned batches;
-* loads the bundle **by path** (bundles are self-describing ``.npz`` files,
-  so nothing unpicklable crosses the process boundary) into its own
-  :class:`~repro.serve.InferenceSession`, where the PR 6 trace-and-replay
-  plan cache warms per worker.
-
-Worker death follows the sweep executor's **isolate-and-retry** policy: a
-broken pipe marks that worker dead, the parent respawns it, the in-flight
-batch is retried exactly once on the fresh worker, and a second death fails
-those futures with :class:`~repro.serve.engine.EngineError` — clients are
-never stranded.  ``close()`` drains the queue, fails still-queued futures
-with :class:`~repro.serve.engine.EngineClosed`, then stops the workers
-(``stop`` command first, escalating to ``terminate``/``kill``).
+Workers run :func:`worker_main` on the shared worker lifecycle of
+:mod:`repro.parallel.fleet` (spawn, ready ack, depth tagging, seeding with
+``derive_seed(seed, "serve-pool", rank)``, isolate-and-retry).  Each loads
+the bundle **by path** into its own :class:`~repro.serve.InferenceSession`,
+so nothing unpicklable crosses the process boundary and every worker warms
+its own plan cache.  Model weights come from the bundle and inference draws
+no randomness, so pool output is byte-identical to
+:class:`~repro.serve.engine.DirectEngine` for aligned batches.  A batch whose
+worker dies twice fails its futures with
+:class:`~repro.serve.engine.EngineError`; ``close()`` drains the queue, fails
+still-queued futures with :class:`~repro.serve.engine.EngineClosed`, then
+stops the workers.
 
 Cost model versus the single-process engines: each worker holds a full copy
 of the bundle (memory is N × bundle) and spawn adds ~1 s of startup per
@@ -53,14 +43,9 @@ from __future__ import annotations
 import os
 import queue
 import threading
-import traceback
-from multiprocessing import get_context
 
-import numpy as np
-
-from ..parallel.executor import START_METHOD_ENV, parallel_depth
-from ..parallel.seeding import derive_seed, seed_task_globals
-from ..parallel.worker import DEPTH_ENV
+from ..parallel.executor import parallel_depth
+from ..parallel.fleet import WorkerFleet, serve_worker
 from .batching import QueuedEngine, _demux, _fuse, _request_groups
 from .engine import EngineClosed, EngineError
 
@@ -74,106 +59,45 @@ _PLAN_COUNTER_KEYS = ("plans", "fallback_keys", "hits", "misses", "fallbacks",
                       "replays", "fused_chains", "fused_ops", "arena_bytes")
 
 
-def worker_main(worker_id: int, bundle_path: str, conn, config: dict) -> None:
+def worker_main(rank: int, conn, config: dict) -> None:
     """Entry point of one pool worker process.
 
-    Loads the bundle at ``bundle_path`` into a private
-    :class:`~repro.serve.InferenceSession` and answers commands on ``conn``
-    until told to stop.  The wire protocol is deliberately tiny:
-
-    * receive ``("predict", array)`` → send ``("ok", outputs, stats)``
-      or ``("error", message, traceback)`` (the model raised; the worker
-      itself is fine and keeps serving);
-    * receive ``("warm", input_shape_or_None)`` → warm the plan cache,
-      send ``("ok", None, stats)``;
-    * receive ``("stop",)`` → exit cleanly.
-
-    The first message is always ``("ready", info)`` after a successful load
-    (or ``("fatal", message, traceback)`` when the bundle cannot be loaded,
-    so spawn/respawn failures surface in the parent instead of hanging it).
+    Loads ``config["bundle_path"]`` into a private
+    :class:`~repro.serve.InferenceSession` and serves ``("predict", array)``
+    and ``("warm", input_shape_or_None)``; both reply with ``(outputs,
+    stats)`` (``outputs`` is ``None`` for ``warm``).
     """
-    # Record the pool layer: effective_jobs() now clamps to 1, so a model
-    # that fans out internally cannot recursively spawn pools of pools.
-    os.environ[DEPTH_ENV] = str(config.get("depth", 1))
-    seed = derive_seed(config.get("seed", 0), "serve-pool", worker_id)
-    seed_task_globals(seed)
-    try:
-        from .session import InferenceSession
+    serve_worker(conn, "serve-pool", rank, config, _load_session,
+                 {"predict": _predict, "warm": _warm})
 
-        session = InferenceSession(bundle_path,
-                                   max_batch=config.get("max_batch", 64),
-                                   compile=config.get("compile", True))
-    except BaseException as error:  # noqa: BLE001 — reported, not raised
-        try:
-            conn.send(("fatal", f"{type(error).__name__}: {error}",
-                       traceback.format_exc()))
-        finally:
-            conn.close()
-        return
 
-    from ..parallel.executor import effective_jobs
+def _load_session(config: dict):
+    from .session import InferenceSession
 
-    def worker_stats() -> dict:
-        return {
-            "pid": os.getpid(),
-            "batches": session.batches_served,
-            "samples": session.samples_served,
-            "plan_cache": session.plan_stats(),
-        }
+    return InferenceSession(config["bundle_path"],
+                            max_batch=config["max_batch"],
+                            compile=config["compile"])
 
-    conn.send(("ready", {
+
+def _session_stats(session) -> dict:
+    return {
         "pid": os.getpid(),
-        "seed": seed,
-        "depth": int(os.environ[DEPTH_ENV]),
-        "effective_jobs": effective_jobs(),
-    }))
-    try:
-        while True:
-            command = conn.recv()
-            if command[0] == "stop":
-                break
-            try:
-                if command[0] == "predict":
-                    outputs = session.predict(command[1])
-                elif command[0] == "warm":
-                    session.warm(command[1])
-                    outputs = None
-                else:
-                    raise ValueError(f"unknown pool command {command[0]!r}")
-            except BaseException as error:  # noqa: BLE001 — model error: the
-                conn.send(("error", f"{type(error).__name__}: {error}",
-                           traceback.format_exc()))  # worker itself survives
-            else:
-                conn.send(("ok", outputs, worker_stats()))
-    except (EOFError, KeyboardInterrupt):  # parent vanished / ^C: just exit
-        pass
-    finally:
-        conn.close()
+        "batches": session.batches_served,
+        "samples": session.samples_served,
+        "plan_cache": session.plan_stats(),
+    }
 
 
-class _Worker:
-    """Parent-side handle for one worker process: pipe, liveness, counters."""
-
-    __slots__ = ("worker_id", "process", "conn", "info", "last_stats",
-                 "restarts", "lock")
-
-    def __init__(self, worker_id: int):
-        self.worker_id = worker_id
-        self.process = None
-        self.conn = None
-        self.info: dict = {}
-        self.last_stats: dict = {}
-        self.restarts = 0
-        # Serializes pipe access between the owning dispatcher thread and
-        # out-of-band callers (warm broadcasts, shutdown).
-        self.lock = threading.Lock()
-
-    @property
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+def _predict(session, inputs):
+    return session.predict(inputs), _session_stats(session)
 
 
-class ProcessPoolEngine(QueuedEngine):
+def _warm(session, input_shape):
+    session.warm(input_shape)
+    return None, _session_stats(session)
+
+
+class ProcessPoolEngine(QueuedEngine, WorkerFleet):
     """Shard coalesced batches across N warm worker processes.
 
     Parameters
@@ -196,6 +120,11 @@ class ProcessPoolEngine(QueuedEngine):
     """
 
     name = "pool"
+    fleet_role = "pool"
+    worker_label = "pool worker"
+    work_unit = "batch"
+    fleet_error = EngineError
+    closed_error = EngineClosed
 
     def __init__(self, session, workers: int = 2, max_batch: int | None = None,
                  max_wait_ms: float = 2.0, queue_size: int = 256,
@@ -214,96 +143,38 @@ class ProcessPoolEngine(QueuedEngine):
                 "re-load the model by path); construct the session from a "
                 "bundle file, or use engine='direct'/'batched' for "
                 "in-memory models")
+        WorkerFleet.__init__(self)
         self.workers = int(workers)
         self.seed = int(seed)
         self.bundle_path = str(session.bundle.path)
-        self.restarts = 0
-        self._context = get_context(os.environ.get(START_METHOD_ENV, "spawn"))
         # Unbounded hand-off queue between the scheduler and the dispatcher
         # threads; _slots_free bounds it to at most `workers` in-flight
         # shards, so backpressure lands on the main bounded request queue.
         self._shard_queue: queue.Queue = queue.Queue()
         self._slots_free = threading.Semaphore(self.workers)
-        self._workers = [_Worker(worker_id) for worker_id in range(self.workers)]
         self._dispatchers: list[threading.Thread] = []
         # The scheduler thread must not start before the workers exist.
         super().__init__(session, max_batch=max_batch, max_wait_ms=max_wait_ms,
                          queue_size=queue_size, autostart=False)
         try:
-            for worker in self._workers:
-                self._spawn(worker)
+            self._start_workers(self.workers)
         except BaseException:
             self._closed = True
-            self._stop_workers()
             raise
         for worker in self._workers:
             thread = threading.Thread(target=self._dispatch_loop, args=(worker,),
-                                      name=f"repro-pool-worker-{worker.worker_id}",
+                                      name=f"repro-pool-worker-{worker.rank}",
                                       daemon=True)
             self._dispatchers.append(thread)
             thread.start()
         if autostart:
             self.start()
 
-    # -- worker lifecycle ------------------------------------------------------
-
-    def _spawn(self, worker: _Worker) -> None:
-        """Start (or restart) one worker process and wait for its ready ack."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=worker_main,
-            args=(worker.worker_id, self.bundle_path, child_conn, {
-                "max_batch": self.max_batch,
-                "compile": self.session.compile_enabled,
-                "seed": self.seed,
-                "depth": parallel_depth() + 1,
-            }),
-            name=f"repro-pool-{worker.worker_id}",
-            daemon=True)
-        process.start()
-        child_conn.close()  # the child holds its own copy
-        try:
-            reply = parent_conn.recv()
-        except (EOFError, OSError) as error:
-            process.join(1.0)
-            parent_conn.close()
-            raise EngineError(
-                f"pool worker {worker.worker_id} died before answering ready "
-                f"(exitcode {process.exitcode})") from error
-        if reply[0] != "ready":
-            process.join(1.0)
-            parent_conn.close()
-            raise EngineError(
-                f"pool worker {worker.worker_id} failed to load bundle "
-                f"{self.bundle_path!r}: {reply[1]}\n{reply[2]}")
-        worker.process = process
-        worker.conn = parent_conn
-        worker.info = reply[1]
-
-    def _discard(self, worker: _Worker) -> None:
-        """Isolate a dead/suspect worker: close its pipe, reap the process."""
-        if worker.conn is not None:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.conn = None
-        if worker.process is not None:
-            if worker.process.is_alive():
-                worker.process.terminate()
-            worker.process.join(2.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(2.0)
-            worker.process = None
-
-    def _respawn(self, worker: _Worker) -> None:
-        """Isolate-and-retry step 1: replace a dead worker with a fresh one."""
-        self._discard(worker)
-        self._spawn(worker)
-        worker.restarts += 1
-        with self._stats_lock:
-            self.restarts += 1
+    def _worker_spec(self) -> tuple:
+        return worker_main, {"bundle_path": self.bundle_path,
+                             "max_batch": self.max_batch,
+                             "compile": self.session.compile_enabled,
+                             "seed": self.seed}
 
     # -- scheduling ------------------------------------------------------------
 
@@ -330,7 +201,7 @@ class ProcessPoolEngine(QueuedEngine):
             return
         self._shard_queue.put(batch)
 
-    def _dispatch_loop(self, worker: _Worker) -> None:
+    def _dispatch_loop(self, worker) -> None:
         """One thread per worker: pull shards and run them on that worker."""
         while True:
             shard = self._shard_queue.get()
@@ -341,14 +212,19 @@ class ProcessPoolEngine(QueuedEngine):
             finally:
                 self._slots_free.release()
 
-    def _run_shard(self, worker: _Worker, shard) -> None:
-        """Execute one coalesced batch remotely; every future must resolve."""
+    def _run_shard(self, worker, shard) -> None:
+        """Execute one coalesced batch remotely; every future must resolve.
+
+        A worker death is isolated and the forward retried once by the
+        fleet; a model error raises ``RuntimeError`` with the worker
+        traceback for these futures only.
+        """
         live = [request for request in shard
                 if request.future.set_running_or_notify_cancel()]
         for group in _request_groups(live):
             try:
                 fused = _fuse(group)
-                outputs = self._forward_remote(worker, fused)
+                outputs, worker.last_stats = self._call(worker, ("predict", fused))
                 _demux(group, outputs)
             except BaseException as error:  # noqa: BLE001 — delivered per future
                 self._fail_batch(group, error)
@@ -357,66 +233,21 @@ class ProcessPoolEngine(QueuedEngine):
                 self.batches += 1
                 self.samples += len(fused)
 
-    def _forward_remote(self, worker: _Worker, fused: np.ndarray) -> np.ndarray:
-        """One fused forward on ``worker``, with isolate-and-retry on death.
-
-        A broken pipe (the worker was killed, crashed, or OOMed) triggers
-        the sweep executor's policy: respawn the worker and retry the batch
-        exactly once; a second death raises :class:`EngineError` for these
-        futures.  A *model* error inside a healthy worker is re-raised
-        as-is and never retried — it would fail identically everywhere.
-        """
-        for attempt in (1, 2):
-            try:
-                with worker.lock:
-                    if not worker.alive:  # found dead before sending
-                        raise _WorkerDied(worker.process.exitcode
-                                          if worker.process else None)
-                    worker.conn.send(("predict", fused))
-                    reply = worker.conn.recv()
-            except (_WorkerDied, EOFError, BrokenPipeError, ConnectionError,
-                    OSError) as error:
-                if self._closed:
-                    raise EngineClosed(
-                        "serving engine closed while the request was in "
-                        "flight; the server is shutting down") from error
-                if attempt == 2:
-                    raise EngineError(
-                        f"pool worker {worker.worker_id} died twice running "
-                        f"the same batch (retried once on a respawned "
-                        f"worker); giving up on these requests") from error
-                try:  # isolate-and-retry: fresh worker, one more attempt
-                    with worker.lock:
-                        self._respawn(worker)
-                except EngineError as spawn_error:
-                    raise EngineError(
-                        f"pool worker {worker.worker_id} died and could not "
-                        f"be respawned: {spawn_error}") from spawn_error
-                continue
-            if reply[0] == "ok":
-                worker.last_stats = reply[2]
-                return reply[1]
-            # ("error", message, traceback): the model raised remotely.
-            raise RuntimeError(
-                f"pool worker {worker.worker_id} forward failed: {reply[1]}\n"
-                f"--- worker traceback ---\n{reply[2]}")
-        raise AssertionError("unreachable")  # pragma: no cover
-
     # -- warmup ----------------------------------------------------------------
 
     def warm(self, input_shape: tuple | None = None) -> None:
         """Broadcast a plan-cache warmup to every worker (each has its own)."""
+        message = ("warm", tuple(input_shape) if input_shape is not None else None)
         for worker in self._workers:
             try:
                 with worker.lock:
                     if not worker.alive:
                         continue
-                    worker.conn.send(("warm", tuple(input_shape)
-                                      if input_shape is not None else None))
+                    worker.conn.send(message)
                     reply = worker.conn.recv()
                 if reply[0] == "ok":
-                    worker.last_stats = reply[2]
-            except (EOFError, BrokenPipeError, ConnectionError, OSError):
+                    worker.last_stats = reply[1][1]
+            except (EOFError, OSError):
                 pass  # a dead worker is respawned on its next shard instead
 
     # -- shutdown --------------------------------------------------------------
@@ -438,20 +269,11 @@ class ProcessPoolEngine(QueuedEngine):
         for thread in self._dispatchers:
             if thread.is_alive():  # a forward is wedged: kill its process so
                 for worker in self._workers:  # the blocked recv raises EOF
-                    if worker.process is not None and worker.process.is_alive():
+                    if worker.alive:
                         worker.process.terminate()
                 thread.join(deadline)
                 break
         self._stop_workers()
-
-    def _stop_workers(self) -> None:
-        for worker in self._workers:
-            if worker.conn is not None:
-                try:
-                    worker.conn.send(("stop",))
-                except (BrokenPipeError, ConnectionError, OSError):
-                    pass
-            self._discard(worker)
 
     # -- introspection ---------------------------------------------------------
 
@@ -465,8 +287,7 @@ class ProcessPoolEngine(QueuedEngine):
         worker's serving counters.
         """
         stats = super().stats()
-        with self._stats_lock:
-            stats["restarts"] = self.restarts
+        stats["restarts"] = self.restarts
         stats["workers"] = self.workers
         plan_cache = dict.fromkeys(_PLAN_COUNTER_KEYS, 0)
         plan_cache["compile"] = self.session.compile_enabled
@@ -476,7 +297,7 @@ class ProcessPoolEngine(QueuedEngine):
             for key in _PLAN_COUNTER_KEYS:
                 plan_cache[key] += int(worker_plan.get(key, 0))
             per_worker.append({
-                "worker": worker.worker_id,
+                "worker": worker.rank,
                 "pid": worker.info.get("pid"),
                 "alive": worker.alive,
                 "restarts": worker.restarts,
@@ -491,10 +312,3 @@ class ProcessPoolEngine(QueuedEngine):
         stats["per_worker"] = per_worker
         return stats
 
-
-class _WorkerDied(Exception):
-    """Internal: a worker was found dead before/while talking to it."""
-
-    def __init__(self, exitcode):
-        super().__init__(f"worker process is dead (exitcode {exitcode})")
-        self.exitcode = exitcode

@@ -279,7 +279,7 @@ def backward(root, grad: np.ndarray | None = None) -> None:
     # first contribution so every later one is an in-place ``+=``.
     fan_in: dict[int, int] = {}
     for node in topo:
-        if node._ctx is not None or node._backward is not None:
+        if node._ctx is not None:
             for parent in node._parents:
                 fan_in[id(parent)] = fan_in.get(id(parent), 0) + 1
 
@@ -310,10 +310,6 @@ def backward(root, grad: np.ndarray | None = None) -> None:
                     if parent_grad is node_grad:
                         shared_ids.add(id(parent_grad))
                     parent._accumulate(parent_grad, fan_in.get(id(parent), 1))
-        elif node._backward is not None:
-            # Legacy closure-style node (still supported for external code
-            # that wires graphs through Tensor._make_child by hand).
-            node._backward(node_grad)
         # Interior nodes do not need to keep their gradient once it has been
         # propagated; leaves (no parents) keep it for optimizers.
         if node._parents and node is not root:

@@ -41,14 +41,13 @@ def _as_array(value, dtype=None) -> np.ndarray:
 class Tensor:
     """A NumPy-backed tensor with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op",
-                 "_ctx", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_op", "_ctx",
+                 "_grad_owned")
 
     def __init__(self, data, requires_grad: bool = False, _parents: tuple = (), _op: str = ""):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward = None
         self._parents = _parents
         self._op = _op
         self._ctx = None
@@ -127,17 +126,6 @@ class Tensor:
         return len(self.data)
 
     # -- graph bookkeeping --------------------------------------------------
-
-    def _make_child(self, data: np.ndarray, parents: tuple, op: str) -> "Tensor":
-        """Create an output tensor, wiring requires_grad from the parents.
-
-        Retained for closure-style graph construction (set ``_backward`` on
-        the returned tensor by hand); everything in-tree dispatches through
-        :func:`repro.tensor.engine.apply_op` instead.
-        """
-        requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=requires_grad,
-                      _parents=parents if requires_grad else (), _op=op)
 
     def _accumulate(self, grad: np.ndarray, fan_in: int = 1) -> None:
         """Add ``grad`` into ``self.grad``.

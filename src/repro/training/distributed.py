@@ -27,13 +27,11 @@ machine size silently chooses.  (Same honest boundary as the serving stack's
 "aligned batches" caveat: we promise exactly what the arithmetic can
 deliver.)
 
-Fault tolerance follows the pool engine's isolate-and-retry playbook: every
-step message carries the parent's full ``state_dict`` (the authoritative
-broadcast), so a worker that dies mid-step — crash, OOM, ``kill -9`` — is
-respawned, re-seeded via ``derive_seed(seed, "train-dp", rank)``, and the
-in-flight shard is retried exactly once on the fresh process.  Because
-workers are stateless between steps, the retry computes the same bytes the
-dead worker would have; a second death raises
+Worker processes run on the shared lifecycle of :mod:`repro.parallel.fleet`
+(isolate-and-retry: a worker that dies mid-step is respawned and its shard
+retried exactly once).  Every step message carries the parent's full
+``state_dict``, so workers are stateless between steps and the retry
+computes the same bytes the dead worker would have; a second death raises
 :class:`DistributedTrainingError`.
 
 Nested parallelism degrades instead of exploding: under a sweep worker
@@ -46,7 +44,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -54,7 +51,8 @@ from ..data.dataloader import DataLoader
 from ..nn.module import Module
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
-from ..parallel.executor import START_METHOD_ENV, parallel_depth
+from ..parallel.executor import parallel_depth
+from ..parallel.fleet import WorkerFleet
 from .dp_worker import build_sum_loss, compute_shard_gradients, loss_spec_of, worker_main
 from .trainer import Trainer
 
@@ -63,14 +61,6 @@ __all__ = ["DistributedTrainingError", "DataParallelTrainer", "shard_bounds"]
 
 class DistributedTrainingError(RuntimeError):
     """A data-parallel worker could not be started, or died twice on one step."""
-
-
-class _WorkerDied(Exception):
-    """Internal: a worker was found dead before/while talking to it."""
-
-    def __init__(self, exitcode):
-        super().__init__(f"worker process is dead (exitcode {exitcode})")
-        self.exitcode = exitcode
 
 
 def shard_bounds(total: int, world_size: int) -> list[tuple[int, int]]:
@@ -97,27 +87,7 @@ def shard_bounds(total: int, world_size: int) -> list[tuple[int, int]]:
     return bounds
 
 
-class _WorkerHandle:
-    """Parent-side handle for one gradient worker: pipe, liveness, counters."""
-
-    __slots__ = ("rank", "process", "conn", "info", "restarts", "lock")
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.process = None
-        self.conn = None
-        self.info: dict = {}
-        self.restarts = 0
-        # Serializes pipe access between the dispatching thread that owns
-        # this worker for the current step and out-of-band shutdown.
-        self.lock = threading.Lock()
-
-    @property
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-
-class DataParallelTrainer(Trainer):
+class DataParallelTrainer(Trainer, WorkerFleet):
     """Data-parallel :class:`Trainer`: shard every batch, reduce gradient sums.
 
     Parameters
@@ -143,6 +113,11 @@ class DataParallelTrainer(Trainer):
     checkpoints see only the reduced (worker-count-independent) state.
     """
 
+    fleet_role = "dp"
+    worker_label = "gradient worker"
+    work_unit = "shard"
+    fleet_error = closed_error = remote_error = DistributedTrainingError
+
     def __init__(self, model: Module, optimizer: Optimizer, loss_fn,
                  scheduler: LRScheduler | None = None, grad_clip: float | None = None,
                  divergence_threshold: float = 1e4, *, world_size: int = 2,
@@ -152,13 +127,10 @@ class DataParallelTrainer(Trainer):
                          divergence_threshold=divergence_threshold)
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
+        WorkerFleet.__init__(self)
         self.world_size = int(world_size)
         self.seed = int(seed)
-        self.restarts = 0
         self.degraded = False
-        self._closed = False
-        self._worker_handles: list[_WorkerHandle] = []
-        self._context = None
         if self.world_size == 1:
             self.workers = 1
             return
@@ -181,96 +153,25 @@ class DataParallelTrainer(Trainer):
                 f"model with repro.models.register_model, or run with "
                 f"workers=1 (inline, byte-identical)")
         self.workers = resolved
-        if self.workers > 1:
-            self._context = get_context(os.environ.get(START_METHOD_ENV, "spawn"))
 
     # -- worker lifecycle ------------------------------------------------------
 
-    def _spawn(self, handle: _WorkerHandle) -> None:
-        """Start (or restart) one gradient worker and wait for its ready ack."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=worker_main,
-            args=(handle.rank, child_conn, {
-                "model_spec": self.model.model_spec,
-                "loss_spec": self._loss_spec,
-                "seed": self.seed,
-                "depth": parallel_depth() + 1,
-            }),
-            name=f"repro-dp-{handle.rank}",
-            daemon=True)
-        process.start()
-        child_conn.close()  # the child holds its own copy
-        try:
-            reply = parent_conn.recv()
-        except (EOFError, OSError) as error:
-            process.join(1.0)
-            parent_conn.close()
-            raise DistributedTrainingError(
-                f"gradient worker {handle.rank} died before answering ready "
-                f"(exitcode {process.exitcode})") from error
-        if reply[0] != "ready":
-            process.join(1.0)
-            parent_conn.close()
-            raise DistributedTrainingError(
-                f"gradient worker {handle.rank} failed to start: "
-                f"{reply[1]}\n{reply[2]}")
-        handle.process = process
-        handle.conn = parent_conn
-        handle.info = reply[1]
-
-    def _discard(self, handle: _WorkerHandle) -> None:
-        """Isolate a dead/suspect worker: close its pipe, reap the process."""
-        if handle.conn is not None:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.conn = None
-        if handle.process is not None:
-            if handle.process.is_alive():
-                handle.process.terminate()
-            handle.process.join(2.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(2.0)
-            handle.process = None
-
-    def _respawn(self, handle: _WorkerHandle) -> None:
-        """Isolate-and-retry step 1: replace a dead worker with a fresh one."""
-        self._discard(handle)
-        self._spawn(handle)
-        handle.restarts += 1
-        self.restarts += 1
+    def _worker_spec(self) -> tuple:
+        return worker_main, {"model_spec": self.model.model_spec,
+                             "loss_spec": self._loss_spec,
+                             "seed": self.seed}
 
     def _ensure_workers(self) -> None:
         """Lazily spawn the worker fleet on the first remote step."""
         if self._closed:
             raise DistributedTrainingError("trainer is closed")
-        if self._worker_handles:
-            return
-        handles = [_WorkerHandle(index) for index in range(self.workers)]
-        try:
-            for handle in handles:
-                self._spawn(handle)
-        except BaseException:
-            for handle in handles:
-                self._discard(handle)
-            raise
-        self._worker_handles = handles
+        if not self._workers:
+            self._start_workers(self.workers)
 
     def close(self) -> None:
         """Stop the worker processes (``stop`` first, escalating to kill)."""
         self._closed = True
-        for handle in self._worker_handles:
-            with handle.lock:
-                if handle.conn is not None:
-                    try:
-                        handle.conn.send(("stop",))
-                    except (BrokenPipeError, ConnectionError, OSError):
-                        pass
-                self._discard(handle)
-        self._worker_handles = []
+        self._stop_workers()
 
     def __enter__(self) -> "DataParallelTrainer":
         return self
@@ -369,29 +270,30 @@ class DataParallelTrainer(Trainer):
         Worker *w* computes shards ``w, w + workers, w + 2*workers, ...`` —
         an assignment that only affects *where* each shard runs, never the
         reduction order.  Each dispatching thread drives one worker; any
-        shard failure (after the one respawn-and-retry) aborts the step.
+        shard failure (after the fleet's one respawn-and-retry) aborts the
+        step.
         """
         self._ensure_workers()
         state = self.model.state_dict()
         results: list = [None] * len(bounds)
         errors: list[BaseException] = []
 
-        def dispatch(handle: _WorkerHandle, ranks: list[int]) -> None:
+        def dispatch(handle, ranks: list[int]) -> None:
             for rank in ranks:
                 start, end = bounds[rank]
                 if start == end:
                     continue
                 try:
-                    results[rank] = self._run_shard(
-                        handle, state, batch_inputs[start:end],
-                        batch_targets[start:end])
+                    results[rank] = self._call(handle, (
+                        "step", state, batch_inputs[start:end],
+                        batch_targets[start:end], self.model.training))
                 except BaseException as error:  # noqa: BLE001 — re-raised below
                     errors.append(error)
                     return
 
         threads = []
-        for index, handle in enumerate(self._worker_handles):
-            ranks = list(range(index, len(bounds), len(self._worker_handles)))
+        for index, handle in enumerate(self._workers):
+            ranks = list(range(index, len(bounds), len(self._workers)))
             if not ranks:
                 continue
             thread = threading.Thread(target=dispatch, args=(handle, ranks),
@@ -404,50 +306,6 @@ class DataParallelTrainer(Trainer):
         if errors:
             raise errors[0]
         return results
-
-    def _run_shard(self, handle: _WorkerHandle, state, inputs, targets) -> dict:
-        """One shard on one worker, with isolate-and-retry on worker death.
-
-        A broken pipe (killed, crashed, OOMed worker) triggers the pool
-        playbook: respawn and retry the shard exactly once on the fresh
-        process — safe because the step message carries the authoritative
-        parameters, so the retry computes the same bytes.  A *model* error
-        inside a healthy worker is raised immediately and never retried (it
-        would fail identically everywhere).
-        """
-        for attempt in (1, 2):
-            try:
-                with handle.lock:
-                    if not handle.alive:  # found dead before sending
-                        raise _WorkerDied(handle.process.exitcode
-                                          if handle.process else None)
-                    handle.conn.send(("step", state, inputs, targets,
-                                      self.model.training))
-                    reply = handle.conn.recv()
-            except (_WorkerDied, EOFError, BrokenPipeError, ConnectionError,
-                    OSError) as error:
-                if self._closed:
-                    raise DistributedTrainingError(
-                        "trainer closed while a shard was in flight") from error
-                if attempt == 2:
-                    raise DistributedTrainingError(
-                        f"gradient worker {handle.rank} died twice running the "
-                        f"same shard (retried once on a respawned worker)") from error
-                try:  # isolate-and-retry: fresh worker, one more attempt
-                    with handle.lock:
-                        self._respawn(handle)
-                except DistributedTrainingError as spawn_error:
-                    raise DistributedTrainingError(
-                        f"gradient worker {handle.rank} died and could not be "
-                        f"respawned: {spawn_error}") from spawn_error
-                continue
-            if reply[0] == "ok":
-                return reply[1]
-            # ("error", message, traceback): the model raised remotely.
-            raise DistributedTrainingError(
-                f"gradient worker {handle.rank} step failed: {reply[1]}\n"
-                f"--- worker traceback ---\n{reply[2]}")
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # -- introspection ---------------------------------------------------------
 
@@ -465,5 +323,5 @@ class DataParallelTrainer(Trainer):
                 "seed": handle.info.get("seed"),
                 "depth": handle.info.get("depth"),
                 "restarts": handle.restarts,
-            } for handle in self._worker_handles],
+            } for handle in self._workers],
         }

@@ -8,31 +8,18 @@ path (``workers=1``) runs the identical code on the identical arrays — that
 shared function is what makes worker-count a pure execution detail with no
 numerical footprint.
 
-Wire protocol (mirrors :mod:`repro.serve.pool`):
-
-* first message ``("ready", info)`` after a successful model build, or
-  ``("fatal", message, traceback)`` when the spec cannot be built;
-* receive ``("step", state_dict, inputs, targets, training)`` →
-  send ``("ok", result)`` or ``("error", message, traceback)`` (the model
-  raised; the worker itself is fine and keeps serving);
-* receive ``("stop",)`` → exit cleanly.
-
-Every ``step`` message carries the parent's full ``state_dict`` — the
-authoritative parameter broadcast.  Workers hold no training state between
-steps, which is what makes crash recovery trivial: a respawned worker given
-the same message computes the same bytes, so the parent can retry an
-in-flight step on a fresh process with zero drift.
+Workers run on the shared lifecycle of :mod:`repro.parallel.fleet` and
+answer one command, ``("step", state_dict, inputs, targets, training)``.
+Every step carries the parent's full ``state_dict`` — the authoritative
+parameter broadcast — so workers hold no training state between steps, and a
+respawned worker given the same message computes the same bytes.
 """
 
 from __future__ import annotations
 
-import os
-import traceback
-
 import numpy as np
 
-from ..parallel.seeding import derive_seed, seed_task_globals
-from ..parallel.worker import DEPTH_ENV
+from ..parallel.fleet import serve_worker
 from ..tensor import Tensor
 
 __all__ = ["loss_spec_of", "build_sum_loss", "compute_shard_gradients",
@@ -125,51 +112,21 @@ def worker_main(rank: int, conn, config: dict) -> None:
     Builds the model architecture once from ``config["model_spec"]`` (the
     parameters are overwritten by every ``step`` message) and the summed
     loss from ``config["loss_spec"]``, then answers step requests until told
-    to stop.  Seeded with ``derive_seed(seed, "train-dp", rank)`` and depth-
-    tagged via ``REPRO_PARALLEL_DEPTH`` so nothing inside the model can
-    recursively fan out.
+    to stop.  Seeded with ``derive_seed(seed, "train-dp", rank)``.
     """
-    os.environ[DEPTH_ENV] = str(config.get("depth", 1))
-    seed = derive_seed(config.get("seed", 0), "train-dp", rank)
-    seed_task_globals(seed)
-    try:
-        import repro.models  # noqa: F401 — populates the model registry
-        from ..models.registry import build_from_spec
+    serve_worker(conn, "train-dp", rank, config, _build_worker, {"step": _step})
 
-        model = build_from_spec(config["model_spec"])
-        sum_loss_fn, weight_fn = build_sum_loss(config["loss_spec"])
-    except BaseException as error:  # noqa: BLE001 — reported, not raised
-        try:
-            conn.send(("fatal", f"{type(error).__name__}: {error}",
-                       traceback.format_exc()))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", {
-        "pid": os.getpid(),
-        "rank": rank,
-        "seed": seed,
-        "depth": int(os.environ[DEPTH_ENV]),
-    }))
-    try:
-        while True:
-            command = conn.recv()
-            if command[0] == "stop":
-                break
-            try:
-                if command[0] == "step":
-                    _, state, inputs, targets, training = command
-                    model.load_state_dict(state)
-                    model.train(training)
-                    result = compute_shard_gradients(model, sum_loss_fn,
-                                                     weight_fn, inputs, targets)
-                    conn.send(("ok", result))
-                else:
-                    raise ValueError(f"unknown command {command[0]!r}")
-            except Exception as error:  # noqa: BLE001 — shipped to the parent
-                conn.send(("error", f"{type(error).__name__}: {error}",
-                           traceback.format_exc()))
-    except (EOFError, BrokenPipeError, ConnectionError, KeyboardInterrupt):
-        pass  # parent went away; nothing useful left to do
-    finally:
-        conn.close()
+
+def _build_worker(config: dict) -> tuple:
+    import repro.models  # noqa: F401 — populates the model registry
+    from ..models.registry import build_from_spec
+
+    return (build_from_spec(config["model_spec"]),
+            *build_sum_loss(config["loss_spec"]))
+
+
+def _step(worker: tuple, state, inputs, targets, training: bool) -> dict:
+    model, sum_loss_fn, weight_fn = worker
+    model.load_state_dict(state)
+    model.train(training)
+    return compute_shard_gradients(model, sum_loss_fn, weight_fn, inputs, targets)

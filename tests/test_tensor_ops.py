@@ -246,7 +246,7 @@ class TestAutogradMechanics:
         a, b = Tensor([1.0]), Tensor([2.0])
         c = a + b
         assert not c.requires_grad
-        assert c._backward is None
+        assert c._ctx is None
 
 
 class TestUnbroadcast:

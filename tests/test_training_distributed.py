@@ -247,6 +247,30 @@ class TestCrashRecovery:
         assert restarts >= 1
         _assert_params_equal(reference, recovered)
 
+    def test_both_workers_killed_before_a_step_count_two_restarts(self):
+        model = _mlp(seed=0)
+        trainer = DataParallelTrainer(model, SGD(model.parameters(), lr=0.1),
+                                      nn.CrossEntropyLoss(), world_size=2,
+                                      workers=2, seed=0)
+        loader = _loader()
+        try:
+            trainer.fit(loader, epochs=1)
+            for worker in trainer.describe()["per_worker"]:
+                os.kill(worker["pid"], signal.SIGKILL)
+            deadline = time.time() + 10.0
+            while any(worker["alive"]
+                      for worker in trainer.describe()["per_worker"]):
+                if time.time() > deadline:  # pragma: no cover
+                    pytest.fail("killed workers still reported alive")
+                time.sleep(0.02)
+            # Both dispatch threads respawn their worker on the same step.
+            trainer.fit(loader, epochs=1)
+            facts = trainer.describe()
+        finally:
+            trainer.close()
+        assert trainer.restarts == 2 and facts["restarts"] == 2
+        assert [worker["restarts"] for worker in facts["per_worker"]] == [1, 1]
+
 
 class TestStepCheckpointing:
     def _trainer(self, seed=0):
