@@ -5,8 +5,9 @@ the proposed neuron ``y = wᵀx + b + (fᵏ)ᵀΛᵏfᵏ`` with one hand-derived
 the unfused reference path builds the same computation node by node (two full
 convolutions in the conv case).  These benchmarks time a full
 forward + backward step through each path so later PRs have a fusion
-trajectory to regress against; ``benchmarks/run_bench.py`` folds the numbers
-into ``BENCH_autograd.json``.
+trajectory to regress against; ``python -m repro bench fig4 table2 --scale
+smoke`` records the same workloads (the ``fused`` micro) in
+``BENCH_autograd.json``.
 """
 
 import numpy as np

@@ -7,25 +7,28 @@ same machinery the sweeps use:
   (:func:`repro.experiments.runner.run_many` with ``force=True``), so the
   numbers measure exactly what ``python -m repro run`` executes — no separate
   pytest harness with its own import and fixture overhead.
-* **Fused-kernel micro-benchmarks** time a forward+backward training step
-  through the fused ``quadratic_response`` / ``quadratic_conv2d`` registry
-  ops against the node-by-node unfused reference path, preserving the
-  workloads (and result keys) of ``benchmarks/test_bench_fused_ops.py`` so
-  the speedup trajectory stays comparable across PRs.
+* **Micro-benchmarks** are described once, in the :data:`MICROS` table: how
+  each runs, where its result lands in the summary and how to read its
+  ``(mean, best-of-rounds)`` speedup ratios.  The fused-kernel micro keeps
+  the workloads (and result keys) of ``benchmarks/test_bench_fused_ops.py``
+  so the speedup trajectory stays comparable across PRs.
 
-:func:`check_fused_speedups` is the CI gate: it fails the run when any fused
-kernel's speedup over its unfused reference regresses below a threshold.
-
-``benchmarks/run_bench.py`` is a thin compatibility wrapper around this
-module; the pytest-benchmark suite under ``benchmarks/`` remains for
+:func:`check_gates` is the CI gate: it fails the run when a gated micro's
+speedup regresses below its floor (``repro bench --gate NAME=RATIO``).
+``python -m repro bench fig4 table2 --scale smoke`` times the headline
+repros; the pytest-benchmark suite under ``benchmarks/`` remains for
 interactive profiling.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import platform
 import statistics
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,11 +38,8 @@ from .io.serialization import atomic_write_json
 __all__ = ["time_callable", "fused_kernel_benchmarks", "inference_benchmarks",
            "serving_benchmarks", "pool_benchmarks", "trace_benchmarks",
            "generation_benchmarks", "training_benchmarks",
-           "benchmark_experiments", "build_summary",
-           "check_fused_speedups", "check_inference_speedup",
-           "check_serving_speedup", "check_pool_speedup",
-           "check_trace_speedup", "check_generate_speedup",
-           "check_train_speedup", "write_summary"]
+           "benchmark_experiments", "Micro", "MICROS", "select",
+           "build_summary", "check_gates", "write_summary"]
 
 #: Fused micro-benchmark result keys, kept identical to the historical
 #: pytest-benchmark test names so BENCH_autograd.json stays a trajectory.
@@ -66,6 +66,13 @@ def time_callable(function, rounds: int = 10, warmup: int = 1) -> dict:
         "stddev_seconds": statistics.stdev(samples) if len(samples) > 1 else 0.0,
         "rounds": rounds,
     }
+
+
+def _default_worker_counts() -> tuple[int, ...]:
+    """Worker counts for the scaling micros: 1, 2 and 4, capped at the core
+    count so the gated top-vs-bottom ratio never measures oversubscription."""
+    cores = os.cpu_count() or 1
+    return tuple(sorted({min(count, cores) for count in (1, 2, 4)}))
 
 
 def _fused_workloads():
@@ -267,7 +274,7 @@ def serving_benchmarks(rounds: int = 3, warmup: int = 1, clients: int = 8,
 
 def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
                     requests_per_client: int = 6, rows_per_request: int = 16,
-                    worker_counts: tuple[int, ...] = (1, 2, 4)) -> dict:
+                    worker_counts: tuple[int, ...] | None = None) -> dict:
     """Worker-count scaling curve of the process-pool serving engine.
 
     The workload is deliberately *compute-bound* — multi-row requests, so
@@ -278,12 +285,12 @@ def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
     one core behind the forwards.  ``clients`` threads each fire
     ``requests_per_client`` requests of ``rows_per_request`` rows at a
     single-process :class:`~repro.serve.BatchedEngine` baseline and at a
-    :class:`~repro.serve.ProcessPoolEngine` for each worker count; rows/sec
-    per configuration lands under ``serving.pool`` in
-    ``BENCH_autograd.json`` as the scaling curve.
+    :class:`~repro.serve.ProcessPoolEngine` for each worker count (default:
+    1, 2 and 4, capped at the core count); rows/sec per configuration lands
+    under ``serving.pool`` in ``BENCH_autograd.json`` as the scaling curve.
 
     ``speedup`` compares the *largest* pool against the batched baseline —
-    that ratio is CI-gated (``--min-pool-speedup``) on multi-core runners.
+    that ratio is CI-gated (``--gate pool=RATIO``) on multi-core runners.
     On a single-core box the pool cannot win (same arithmetic plus IPC), and
     the recorded curve will honestly say so.
     """
@@ -295,6 +302,7 @@ def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
     from .models import SimpleCNN
     from .serve import BatchedEngine, InferenceSession, ProcessPoolEngine
 
+    worker_counts = worker_counts or _default_worker_counts()
     model = SimpleCNN(num_classes=10, neuron_type="proposed", rank=3,
                       base_width=8, image_size=16, seed=0)
     request = np.random.default_rng(1).standard_normal(
@@ -505,22 +513,23 @@ def generation_benchmarks(rounds: int = 3, warmup: int = 1, batch: int = 16,
 
 
 def training_benchmarks(rounds: int = 2, warmup: int = 1, world_size: int = 4,
-                        worker_counts: tuple[int, ...] = (1, 2, 4),
+                        worker_counts: tuple[int, ...] | None = None,
                         batches: int = 4, batch_size: int = 64) -> dict:
     """Worker-count scaling curve of data-parallel training.
 
     One epoch of :class:`~repro.training.DataParallelTrainer` over a fixed
     synthetic workload, at a **fixed** ``world_size`` and varying worker
-    counts — so every configuration computes byte-identical parameters (the
-    shard arithmetic never changes) and the curve measures pure execution
-    scaling: shards running concurrently in worker processes versus
-    sequentially inline.  Samples/sec per worker count lands under
-    ``training`` in ``BENCH_autograd.json``.
+    counts (default: 1, 2 and 4, capped at the core count) — so every
+    configuration computes byte-identical parameters (the shard arithmetic
+    never changes) and the curve measures pure execution scaling: shards
+    running concurrently in worker processes versus sequentially inline.
+    Samples/sec per worker count lands under ``training`` in
+    ``BENCH_autograd.json``.
 
     The warmup round spawns the worker fleet, so process startup is excluded
     from the timed rounds (steady-state training amortizes spawn over the
     whole run).  ``speedup`` compares the largest fleet against inline
-    execution; that ratio is CI-gated (``--min-train-speedup``) on
+    execution; that ratio is CI-gated (``--gate train=RATIO``) on
     multi-core runners — on one core the workers pay IPC for the same
     arithmetic and the recorded curve will honestly say so.
     """
@@ -530,6 +539,7 @@ def training_benchmarks(rounds: int = 2, warmup: int = 1, world_size: int = 4,
     from .optim import SGD
     from .training import DataParallelTrainer
 
+    worker_counts = worker_counts or _default_worker_counts()
     rng = np.random.default_rng(7)
     inputs = rng.standard_normal(
         (batches * batch_size, 3, 16, 16)).astype(np.float32)
@@ -598,182 +608,163 @@ def benchmark_experiments(names: list[str], scale: str = "smoke",
     return timings
 
 
-def build_summary(figure_repros: dict, fused_ops: dict, fused_speedups: dict,
-                  scale: str, started: float, inference: dict | None = None,
-                  serving: dict | None = None, trace: dict | None = None,
-                  pool: dict | None = None,
-                  generation: dict | None = None,
-                  training: dict | None = None) -> dict:
-    serving_section = dict(serving or {})
-    if pool:  # the pool scaling curve rides inside the serving section
-        serving_section["pool"] = pool
-    return {
+#: Summary sections every run writes, left empty when their micro is not
+#: selected, so every ``BENCH_autograd.json`` has the same top-level layout.
+_SECTIONS = ("fused_ops", "fused_speedups", "inference", "serving", "trace",
+             "generation", "training")
+
+
+def _single(label: str):
+    """Reader for a section holding one ``speedup``/``speedup_best`` pair."""
+    def read(section: dict) -> list:
+        ratio = section.get("speedup")
+        if ratio is None:
+            return []
+        return [(label, ratio, section.get("speedup_best", ratio))]
+    return read
+
+
+def _fused_ratios(summary: dict) -> list:
+    """One pair per fused kernel, read from ``fused_speedups``."""
+    speedups = summary.get("fused_speedups", {})
+    return [(name, ratio, speedups.get(f"{name}_best", ratio))
+            for name, ratio in sorted(speedups.items())
+            if not name.endswith("_best")]
+
+
+def _trace_ratios(trace: dict) -> list:
+    """One pair per benched batch size of the gated ``mlp_classifier`` micro
+    (the ``simple_cnn`` reference is compute-bound and recorded ungated)."""
+    batches = sorted(trace.get("batches", {}).items(), key=lambda kv: int(kv[0]))
+    return [(f"traced vs dispatched at batch {batch}", entry.get("speedup"),
+             entry.get("speedup_best", entry.get("speedup")))
+            for batch, entry in batches]
+
+
+@dataclass(frozen=True)
+class Micro:
+    """One ``repro bench`` micro-benchmark.
+
+    ``run`` maps the CLI's ``--rounds`` to the micro's result dict (applying
+    the micro's own rounds rule); :func:`build_summary` merges that result
+    into the summary under ``path`` (``()`` merges it at the top level);
+    ``read`` turns the section at ``path`` into ``(label, mean ratio,
+    best-of-rounds ratio)`` triples — the numbers printed and gated.  A ratio
+    that is absent reads as ``None``.
+    """
+
+    name: str
+    run: Callable[[int], dict]
+    path: tuple[str, ...]
+    read: Callable[[dict], list]
+
+    def ratios(self, summary: dict) -> list:
+        section = summary
+        for key in self.path:
+            section = section.get(key, {})
+        return self.read(section)
+
+
+#: Every micro-benchmark, in run order.
+MICROS = {micro.name: micro for micro in (
+    Micro("fused",
+          lambda rounds: dict(zip(("fused_ops", "fused_speedups"),
+                                  fused_kernel_benchmarks(rounds=rounds))),
+          (), _fused_ratios),
+    Micro("inference",
+          lambda rounds: inference_benchmarks(rounds=max(3, rounds // 6)),
+          ("inference",), _single("batched vs per-sample loop")),
+    Micro("serving",
+          lambda rounds: serving_benchmarks(rounds=max(3, rounds // 10)),
+          ("serving",), _single("batched vs direct engine")),
+    Micro("pool",
+          lambda rounds: pool_benchmarks(rounds=max(2, rounds // 15)),
+          ("serving", "pool"), _single("largest pool vs batched engine")),
+    Micro("trace",
+          lambda rounds: trace_benchmarks(rounds=max(10, rounds * 3)),
+          ("trace",), _trace_ratios),
+    Micro("generate",
+          lambda rounds: generation_benchmarks(rounds=max(3, rounds // 10)),
+          ("generation",), _single("incremental vs full-prefix decode")),
+    Micro("train",
+          lambda rounds: training_benchmarks(rounds=max(2, rounds // 15)),
+          ("training",), _single("largest vs smallest worker fleet")),
+)}
+
+
+def select(micros: str | None, gates: list[str]) -> tuple[list[str], dict]:
+    """Validate ``--micros a,b`` and ``--gate NAME=RATIO`` arguments.
+
+    Returns the selected micro names in run order (``None`` selects every
+    micro, ``""`` none) and the ``{name: floor}`` gates.  Raises
+    :class:`ValueError` on a malformed gate, an unknown name, or a gate on a
+    micro that is not selected (it would pass vacuously).
+    """
+    names = set(MICROS) if micros is None else \
+        {name.strip() for name in micros.split(",") if name.strip()}
+    floors = {}
+    for gate in gates:
+        name, _, ratio = gate.partition("=")
+        try:
+            floor = float(ratio)
+        except ValueError:
+            floor = math.nan
+        if math.isnan(floor):  # a NaN floor would pass every ratio
+            raise ValueError(f"--gate expects NAME=RATIO, got {gate!r}")
+        floors[name] = floor
+    unknown = sorted((names | floors.keys()) - MICROS.keys())
+    if unknown:
+        raise ValueError(f"unknown micro {', '.join(map(repr, unknown))}; "
+                         f"valid names: {', '.join(MICROS)}")
+    vacuous = [name for name in floors if name not in names]
+    if vacuous:
+        raise ValueError(f"--gate {', '.join(vacuous)} would pass vacuously: "
+                         f"not selected by --micros")
+    return [name for name in MICROS if name in names], floors
+
+
+def build_summary(figure_repros: dict, results: dict, scale: str,
+                  started: float) -> dict:
+    """The ``BENCH_autograd.json`` document for ``{micro name: result}``."""
+    summary = {section: {} for section in _SECTIONS}
+    for name, result in results.items():
+        section = summary
+        for key in MICROS[name].path:
+            section = section.setdefault(key, {})
+        section.update(result)
+    summary.update({
         "figure_repros": figure_repros,
-        "fused_ops": fused_ops,
-        "fused_speedups": fused_speedups,
-        "inference": inference or {},
-        "serving": serving_section,
-        "trace": trace or {},
-        "generation": generation or {},
-        "training": training or {},
         "scale": scale,
         "targets": sorted(figure_repros),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime(started)),
         "harness_seconds": time.time() - started,
         "python": platform.python_version(),
         "platform": platform.platform(),
-    }
+    })
+    return summary
 
 
-def check_fused_speedups(summary: dict, minimum: float) -> list[str]:
-    """Return regression messages for fused speedups below ``minimum`` (CI gate).
+def check_gates(summary: dict, floors: dict) -> list[str]:
+    """Regression messages for every gated ratio below its micro's floor.
 
-    Each kernel passes if *either* its mean-based or its best-of-rounds ratio
-    clears the floor — a genuine fusion regression drags both down, while a
+    A ratio passes if *either* its mean-based or its best-of-rounds value
+    clears the floor — a genuine regression drags both down, while a
     noisy-neighbor scheduling blip rarely corrupts the best-of-rounds number.
+    A gated micro with no result is a violation.
     """
-    speedups = summary.get("fused_speedups", {})
     violations = []
-    for name, ratio in sorted(speedups.items()):
-        if name.endswith("_best"):
-            continue
-        best = speedups.get(f"{name}_best", ratio)
-        if max(ratio, best) < minimum:
-            violations.append(f"{name} = {ratio:.3f}x (best-of-rounds "
-                              f"{best:.3f}x) is below the {minimum:.2f}x floor")
+    for name, floor in floors.items():
+        ratios = MICROS[name].ratios(summary)
+        if not ratios:
+            violations.append(f"{name} benchmark missing from the summary")
+        for label, ratio, best in ratios:
+            if ratio is None:
+                violations.append(f"{name}: {label} ratio missing")
+            elif max(ratio, best) < floor:
+                violations.append(f"{name}: {label} = {ratio:.3f}x "
+                                  f"(best-of-rounds {best:.3f}x) is below "
+                                  f"the {floor:.2f}x floor")
     return violations
-
-
-def check_inference_speedup(summary: dict, minimum: float) -> list[str]:
-    """Regression messages when batched inference falls below ``minimum``×.
-
-    Like :func:`check_fused_speedups`, passes when *either* the mean-based or
-    the best-of-rounds ratio clears the floor.
-    """
-    inference = summary.get("inference", {})
-    ratio = inference.get("speedup")
-    if ratio is None:
-        return ["inference benchmark missing from the summary"]
-    best = inference.get("speedup_best", ratio)
-    if max(ratio, best) < minimum:
-        return [f"batched inference speedup = {ratio:.3f}x (best-of-rounds "
-                f"{best:.3f}x) is below the {minimum:.2f}x floor at "
-                f"batch {inference.get('batch_size')}"]
-    return []
-
-
-def check_serving_speedup(summary: dict, minimum: float) -> list[str]:
-    """Regression messages when the batched engine's concurrent-load
-    throughput falls below ``minimum``× the direct engine's.
-
-    Like the other gates, passes when *either* the mean-based or the
-    best-of-rounds ratio clears the floor.
-    """
-    serving = summary.get("serving", {})
-    ratio = serving.get("speedup")
-    if ratio is None:
-        return ["serving benchmark missing from the summary"]
-    best = serving.get("speedup_best", ratio)
-    if max(ratio, best) < minimum:
-        return [f"batched-engine serving speedup = {ratio:.3f}x "
-                f"(best-of-rounds {best:.3f}x) is below the {minimum:.2f}x "
-                f"floor at {serving.get('clients')} concurrent clients"]
-    return []
-
-
-def check_pool_speedup(summary: dict, minimum: float) -> list[str]:
-    """Regression messages when the largest pool's throughput falls below
-    ``minimum``× the single-process batched engine on the multi-row micro.
-
-    This gate only makes sense on a multi-core machine (CI runners): with
-    one core the pool pays IPC for the same arithmetic and cannot win.  Like
-    the other gates, passes when *either* the mean-based or the
-    best-of-rounds ratio clears the floor.
-    """
-    pool = summary.get("serving", {}).get("pool", {})
-    ratio = pool.get("speedup")
-    if ratio is None:
-        return ["pool benchmark missing from the summary"]
-    best = pool.get("speedup_best", ratio)
-    if max(ratio, best) < minimum:
-        workers = max(pool.get("worker_counts", [0]))
-        return [f"pool({workers}) serving speedup = {ratio:.3f}x "
-                f"(best-of-rounds {best:.3f}x) over the batched engine is "
-                f"below the {minimum:.2f}x floor at "
-                f"{pool.get('rows_per_request')} rows/request"]
-    return []
-
-
-def check_trace_speedup(summary: dict, minimum: float) -> list[str]:
-    """Regression messages when traced replay falls below ``minimum``× the
-    dispatched forward at any benched batch size.
-
-    Gates the ``mlp_classifier`` micro only (dispatch-overhead-dominated, so
-    the ratio is stable); the ``simple_cnn`` reference numbers are recorded
-    but compute-bound and therefore not gated.  Like the other gates, a batch
-    size passes when *either* the mean-based or the best-of-rounds ratio
-    clears the floor.
-    """
-    trace = summary.get("trace", {})
-    batches = trace.get("batches")
-    if not batches:
-        return ["trace benchmark missing from the summary"]
-    violations = []
-    for batch, entry in sorted(batches.items(), key=lambda kv: int(kv[0])):
-        ratio = entry.get("speedup")
-        if ratio is None:
-            violations.append(f"trace speedup missing at batch {batch}")
-            continue
-        best = entry.get("speedup_best", ratio)
-        if max(ratio, best) < minimum:
-            violations.append(
-                f"traced-replay speedup = {ratio:.3f}x (best-of-rounds "
-                f"{best:.3f}x) is below the {minimum:.2f}x floor at batch "
-                f"{batch} ({trace.get('model')})")
-    return violations
-
-
-def check_generate_speedup(summary: dict, minimum: float) -> list[str]:
-    """Regression messages when incremental decoding falls below ``minimum``×
-    the full-prefix recompute at the benched ``max_len``.
-
-    Like the other gates, passes when *either* the mean-based or the
-    best-of-rounds ratio clears the floor.
-    """
-    generation = summary.get("generation", {})
-    ratio = generation.get("speedup")
-    if ratio is None:
-        return ["generation benchmark missing from the summary"]
-    best = generation.get("speedup_best", ratio)
-    if max(ratio, best) < minimum:
-        return [f"incremental-decode speedup = {ratio:.3f}x (best-of-rounds "
-                f"{best:.3f}x) is below the {minimum:.2f}x floor at "
-                f"max_len {generation.get('max_len')}"]
-    return []
-
-
-def check_train_speedup(summary: dict, minimum: float) -> list[str]:
-    """Regression messages when the largest worker fleet's training
-    throughput falls below ``minimum``× inline execution at the benched
-    ``world_size``.
-
-    Only meaningful on a multi-core machine (CI runners): with one core the
-    workers pay IPC for the same arithmetic and cannot win.  Like the other
-    gates, passes when *either* the mean-based or the best-of-rounds ratio
-    clears the floor.
-    """
-    training = summary.get("training", {})
-    ratio = training.get("speedup")
-    if ratio is None:
-        return ["training benchmark missing from the summary"]
-    best = training.get("speedup_best", ratio)
-    if max(ratio, best) < minimum:
-        workers = max(training.get("worker_counts", [0]))
-        return [f"data-parallel training speedup = {ratio:.3f}x "
-                f"(best-of-rounds {best:.3f}x) at {workers} workers over "
-                f"inline is below the {minimum:.2f}x floor at world_size "
-                f"{training.get('world_size')}"]
-    return []
 
 
 def write_summary(summary: dict, output) -> None:

@@ -10,12 +10,11 @@
   worker pool by default (``--jobs auto``); per-experiment failures are
   reported at the end instead of aborting the sweep.
 * ``bench``   — regenerate the perf trajectory (``BENCH_autograd.json``):
-  experiment wall times through the same cached runner (cache bypassed), the
-  fused-kernel micro-benchmarks, the batched-inference micro-benchmark, and
-  the concurrent-load serving micro-benchmark (batched vs direct engine at 8
-  client threads), and the traced-replay-vs-dispatch micro-benchmark, with
-  optional ``--min-fused-speedup`` / ``--min-inference-speedup`` /
-  ``--min-serving-speedup`` / ``--min-trace-speedup`` CI gates.
+  experiment wall times through the same cached runner (cache bypassed) plus
+  the micro-benchmarks of :data:`repro.bench.MICROS` (``fused``,
+  ``inference``, ``serving``, ``pool``, ``trace``, ``generate``, ``train``;
+  pick some with ``--micros a,b``), with repeatable ``--gate NAME=RATIO``
+  CI floors on their speedups.
 * ``train``   — train one registered classifier directly (outside the
   experiment registry), optionally sharding every batch across
   ``--world-size`` gradient shards computed by ``--train-jobs`` worker
@@ -134,70 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
                               default="BENCH_autograd.json",
                               help="summary JSON path (default: BENCH_autograd.json)")
     bench_parser.add_argument("--rounds", type=int, default=30,
-                              help="rounds per fused-kernel micro-benchmark "
-                                   "(default: 30)")
-    bench_parser.add_argument("--skip-fused", action="store_true",
-                              help="skip the fused-kernel micro-benchmarks")
-    bench_parser.add_argument("--min-fused-speedup", type=float, default=None,
-                              metavar="RATIO",
-                              help="fail when any fused-kernel speedup falls "
-                                   "below RATIO (CI perf gate)")
-    bench_parser.add_argument("--skip-inference", action="store_true",
-                              help="skip the batched-inference micro-benchmark")
-    bench_parser.add_argument("--min-inference-speedup", type=float, default=None,
-                              metavar="RATIO",
-                              help="fail when batched inference is less than "
-                                   "RATIO times faster than the per-sample "
-                                   "loop (CI perf gate)")
-    bench_parser.add_argument("--skip-serving", action="store_true",
-                              help="skip the concurrent-load serving-engine "
-                                   "micro-benchmark")
-    bench_parser.add_argument("--min-serving-speedup", type=float, default=None,
-                              metavar="RATIO",
-                              help="fail when the batched engine sustains less "
-                                   "than RATIO times the direct engine's "
-                                   "requests/sec under concurrent load "
-                                   "(CI perf gate)")
-    bench_parser.add_argument("--skip-pool", action="store_true",
-                              help="skip the process-pool worker-scaling "
-                                   "micro-benchmark (spawns up to 4 worker "
-                                   "processes)")
-    bench_parser.add_argument("--min-pool-speedup", type=float, default=None,
-                              metavar="RATIO",
-                              help="fail when the largest process pool "
-                                   "sustains less than RATIO times the "
-                                   "single-process batched engine's rows/sec "
-                                   "on the multi-row micro (CI perf gate; "
-                                   "needs a multi-core machine)")
-    bench_parser.add_argument("--skip-generate", action="store_true",
-                              help="skip the incremental-generation "
-                                   "micro-benchmark")
-    bench_parser.add_argument("--min-generate-speedup", type=float, default=None,
-                              metavar="RATIO",
-                              help="fail when KV-cached incremental decoding "
-                                   "is less than RATIO times faster than the "
-                                   "full-prefix recompute decoder "
-                                   "(CI perf gate)")
-    bench_parser.add_argument("--skip-train", action="store_true",
-                              help="skip the data-parallel training "
-                                   "worker-scaling micro-benchmark (spawns up "
-                                   "to 4 gradient-worker processes)")
-    bench_parser.add_argument("--min-train-speedup", type=float, default=None,
-                              metavar="RATIO",
-                              help="fail when the largest data-parallel "
-                                   "worker fleet sustains less than RATIO "
-                                   "times the single-worker samples/sec at a "
-                                   "fixed shard count (CI perf gate; needs a "
-                                   "multi-core machine)")
-    bench_parser.add_argument("--skip-trace", action="store_true",
-                              help="skip the traced-replay-vs-dispatch "
-                                   "micro-benchmark")
-    bench_parser.add_argument("--min-trace-speedup", type=float, default=None,
-                              metavar="RATIO",
-                              help="fail when traced-plan replay is less than "
-                                   "RATIO times faster than dispatched "
-                                   "no-grad forwards at any benched batch "
-                                   "size (CI perf gate)")
+                              help="base rounds; each micro-benchmark scales "
+                                   "it by its own rule (default: 30)")
+    bench_parser.add_argument("--micros", default=None, metavar="A,B",
+                              help="comma-separated micro-benchmarks to run "
+                                   "(default: all; '' runs none; an unknown "
+                                   "name lists the valid ones)")
+    bench_parser.add_argument("--gate", action="append", default=[],
+                              metavar="NAME=RATIO",
+                              help="fail when any speedup of micro NAME falls "
+                                   "below RATIO (repeatable; CI perf gate)")
     bench_parser.set_defaults(handler=_command_bench)
 
     train_parser = commands.add_parser(
@@ -529,33 +474,10 @@ def _command_bench(args) -> int:
 
     from . import bench as bench_module
 
-    if args.skip_fused and args.min_fused_speedup is not None:
-        print("error: --skip-fused would make --min-fused-speedup a vacuous "
-              "pass; drop one of the two", file=sys.stderr)
-        return 2
-    if args.skip_inference and args.min_inference_speedup is not None:
-        print("error: --skip-inference would make --min-inference-speedup a "
-              "vacuous pass; drop one of the two", file=sys.stderr)
-        return 2
-    if args.skip_serving and args.min_serving_speedup is not None:
-        print("error: --skip-serving would make --min-serving-speedup a "
-              "vacuous pass; drop one of the two", file=sys.stderr)
-        return 2
-    if args.skip_pool and args.min_pool_speedup is not None:
-        print("error: --skip-pool would make --min-pool-speedup a vacuous "
-              "pass; drop one of the two", file=sys.stderr)
-        return 2
-    if args.skip_generate and args.min_generate_speedup is not None:
-        print("error: --skip-generate would make --min-generate-speedup a "
-              "vacuous pass; drop one of the two", file=sys.stderr)
-        return 2
-    if args.skip_trace and args.min_trace_speedup is not None:
-        print("error: --skip-trace would make --min-trace-speedup a vacuous "
-              "pass; drop one of the two", file=sys.stderr)
-        return 2
-    if args.skip_train and args.min_train_speedup is not None:
-        print("error: --skip-train would make --min-train-speedup a vacuous "
-              "pass; drop one of the two", file=sys.stderr)
+    try:
+        micros, floors = bench_module.select(args.micros, args.gate)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     names = _resolve_names(args.experiments)
     scale = get_scale(args.scale)
@@ -570,156 +492,32 @@ def _command_bench(args) -> int:
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    if args.skip_fused:
-        fused_ops, fused_speedups = {}, {}
-    else:
-        fused_ops, fused_speedups = bench_module.fused_kernel_benchmarks(
-            rounds=args.rounds)
-    inference = {} if args.skip_inference else \
-        bench_module.inference_benchmarks(rounds=max(3, args.rounds // 6))
-    serving = {} if args.skip_serving else \
-        bench_module.serving_benchmarks(rounds=max(3, args.rounds // 10))
-    pool = {} if args.skip_pool else \
-        bench_module.pool_benchmarks(rounds=max(2, args.rounds // 15))
-    trace = {} if args.skip_trace else \
-        bench_module.trace_benchmarks(rounds=max(10, args.rounds * 3))
-    generation = {} if args.skip_generate else \
-        bench_module.generation_benchmarks(rounds=max(3, args.rounds // 10))
-    training = {} if args.skip_train else \
-        bench_module.training_benchmarks(rounds=max(2, args.rounds // 15))
-
-    summary = bench_module.build_summary(figure_repros, fused_ops, fused_speedups,
-                                         scale=scale.name, started=started,
-                                         inference=inference, serving=serving,
-                                         trace=trace, pool=pool,
-                                         generation=generation, training=training)
+    results = {name: bench_module.MICROS[name].run(args.rounds)
+               for name in micros}
+    summary = bench_module.build_summary(figure_repros, results,
+                                         scale=scale.name, started=started)
     rows = [{"experiment": name, "scale": scale.name,
              "seconds": stats["mean_seconds"]}
             for name, stats in figure_repros.items()]
     print()
     print(format_table(rows, columns=["experiment", "scale", "seconds"]))
-    for name, stats in sorted(fused_ops.items()):
-        print(f"  {name:<45s} {stats['mean_seconds'] * 1e6:>12.1f} us")
-    for name, ratio in sorted(fused_speedups.items()):
-        print(f"  {name:<45s} {ratio:>11.2f}x")
-    if inference:
-        batch = inference["batch_size"]
-        print(f"  {'inference batched (batch ' + str(batch) + ')':<45s} "
-              f"{inference['batched']['mean_seconds'] * 1e6:>12.1f} us")
-        print(f"  {'inference per-sample loop':<45s} "
-              f"{inference['per_sample']['mean_seconds'] * 1e6:>12.1f} us")
-        print(f"  {'inference batch speedup':<45s} {inference['speedup']:>11.2f}x")
-    if serving:
-        clients = serving["clients"]
-        print(f"  {'serving direct (' + str(clients) + ' clients)':<45s} "
-              f"{serving['direct_rps']:>10.1f} r/s")
-        print(f"  {'serving batched (' + str(clients) + ' clients)':<45s} "
-              f"{serving['batched_rps']:>10.1f} r/s")
-        print(f"  {'serving batched-engine speedup':<45s} "
-              f"{serving['speedup']:>11.2f}x")
-        latency = serving.get("batched_latency")
-        if latency:
-            label = "serving batched p50/p95/p99"
-            print(f"  {label:<45s} {latency['p50_ms']:>7.2f} / "
-                  f"{latency['p95_ms']:.2f} / {latency['p99_ms']:.2f} ms")
-    if pool:
-        base = pool["batched"]["rows_per_second"]
-        print(f"  {'pool baseline: batched engine':<45s} {base:>10.1f} rows/s")
-        for workers in pool["worker_counts"]:
-            rps = pool["workers"][str(workers)]["rows_per_second"]
-            label = f"pool({workers}) rows/sec"
-            print(f"  {label:<45s} {rps:>10.1f} rows/s")
-        print(f"  {'pool(' + str(max(pool['worker_counts'])) + ') vs batched':<45s} "
-              f"{pool['speedup']:>11.2f}x")
-    if trace:
-        for batch, entry in sorted(trace["batches"].items(),
-                                   key=lambda kv: int(kv[0])):
-            label = f"traced replay speedup (batch {batch})"
-            print(f"  {label:<45s} {entry['speedup']:>11.2f}x")
-    if generation:
-        label = (f"generation incremental (batch {generation['batch']}, "
-                 f"{generation['steps']} steps)")
-        print(f"  {label:<45s} "
-              f"{generation['incremental_tokens_per_second']:>8.1f} tok/s")
-        print(f"  {'generation full-prefix recompute':<45s} "
-              f"{generation['reference_tokens_per_second']:>8.1f} tok/s")
-        print(f"  {'generation incremental speedup':<45s} "
-              f"{generation['speedup']:>11.2f}x")
-    if training:
-        for workers in training["worker_counts"]:
-            rate = training["workers"][str(workers)]["samples_per_second"]
-            label = (f"train dp({workers}) samples/sec "
-                     f"(world {training['world_size']})")
-            print(f"  {label:<45s} {rate:>8.1f} smp/s")
-        label = (f"train dp({max(training['worker_counts'])}) vs "
-                 f"dp({min(training['worker_counts'])})")
-        print(f"  {label:<45s} {training['speedup']:>11.2f}x")
+    for name in micros:
+        for label, ratio, best in bench_module.MICROS[name].ratios(summary):
+            shown = "missing" if ratio is None else \
+                f"{ratio:>7.2f}x (best-of-rounds {best:.2f}x)"
+            print(f"  {name + ': ' + label:<50s} {shown}")
 
     if args.output:
         bench_module.write_summary(summary, args.output)
         print(f"wrote {args.output}")
 
-    if args.min_fused_speedup is not None:
-        violations = bench_module.check_fused_speedups(summary, args.min_fused_speedup)
-        if violations:
-            for violation in violations:
-                print(f"PERF REGRESSION: {violation}", file=sys.stderr)
-            return 1
-        print(f"fused speedups all >= {args.min_fused_speedup:.2f}x")
-    if args.min_inference_speedup is not None:
-        violations = bench_module.check_inference_speedup(
-            summary, args.min_inference_speedup)
-        if violations:
-            for violation in violations:
-                print(f"PERF REGRESSION: {violation}", file=sys.stderr)
-            return 1
-        print(f"batched inference >= {args.min_inference_speedup:.2f}x "
-              f"the per-sample loop")
-    if args.min_serving_speedup is not None:
-        violations = bench_module.check_serving_speedup(
-            summary, args.min_serving_speedup)
-        if violations:
-            for violation in violations:
-                print(f"PERF REGRESSION: {violation}", file=sys.stderr)
-            return 1
-        print(f"batched serving engine >= {args.min_serving_speedup:.2f}x "
-              f"the direct engine under concurrent load")
-    if args.min_pool_speedup is not None:
-        violations = bench_module.check_pool_speedup(
-            summary, args.min_pool_speedup)
-        if violations:
-            for violation in violations:
-                print(f"PERF REGRESSION: {violation}", file=sys.stderr)
-            return 1
-        print(f"process-pool engine >= {args.min_pool_speedup:.2f}x "
-              f"the single-process batched engine on multi-row requests")
-    if args.min_trace_speedup is not None:
-        violations = bench_module.check_trace_speedup(
-            summary, args.min_trace_speedup)
-        if violations:
-            for violation in violations:
-                print(f"PERF REGRESSION: {violation}", file=sys.stderr)
-            return 1
-        print(f"traced-plan replay >= {args.min_trace_speedup:.2f}x "
-              f"dispatched no-grad forwards at every benched batch size")
-    if args.min_generate_speedup is not None:
-        violations = bench_module.check_generate_speedup(
-            summary, args.min_generate_speedup)
-        if violations:
-            for violation in violations:
-                print(f"PERF REGRESSION: {violation}", file=sys.stderr)
-            return 1
-        print(f"KV-cached incremental decoding >= "
-              f"{args.min_generate_speedup:.2f}x the full-prefix recompute")
-    if args.min_train_speedup is not None:
-        violations = bench_module.check_train_speedup(
-            summary, args.min_train_speedup)
-        if violations:
-            for violation in violations:
-                print(f"PERF REGRESSION: {violation}", file=sys.stderr)
-            return 1
-        print(f"data-parallel worker fleet >= {args.min_train_speedup:.2f}x "
-              f"the single-worker trainer at a fixed shard count")
+    violations = bench_module.check_gates(summary, floors)
+    for violation in violations:
+        print(f"PERF REGRESSION: {violation}", file=sys.stderr)
+    if violations:
+        return 1
+    for name, floor in floors.items():
+        print(f"{name} speedups all >= {floor:.2f}x")
     return 0
 
 

@@ -220,18 +220,19 @@ class TestCLI:
     def test_bench_times_experiments(self, capsys, tmp_path, counting_spec):
         json_path = tmp_path / "bench.json"
         assert cli.main(["bench", "_probe", "--scale", "smoke",
-                         "--cache-dir", str(tmp_path), "--skip-fused",
-                         "--skip-inference", "--output", str(json_path)]) == 0
+                         "--cache-dir", str(tmp_path), "--micros", "",
+                         "--output", str(json_path)]) == 0
         summary = json.loads(json_path.read_text())
         assert summary["scale"] == "smoke"
         assert summary["figure_repros"]["_probe"]["rounds"] == 1
         assert summary["figure_repros"]["_probe"]["mean_seconds"] >= 0.0
+        # Unselected micros still leave their (empty) sections in the layout.
+        assert summary["fused_speedups"] == {} and summary["serving"] == {}
 
     def test_bench_warms_the_cache(self, capsys, tmp_path, counting_spec):
         _, runner = counting_spec
-        assert cli.main(["bench", "_probe", "--scale", "smoke", "--skip-fused",
-                         "--skip-inference", "--cache-dir", str(tmp_path),
-                         "--output", ""]) == 0
+        assert cli.main(["bench", "_probe", "--scale", "smoke", "--micros", "",
+                         "--cache-dir", str(tmp_path), "--output", ""]) == 0
         assert runner.calls == 1
         # The forced bench run wrote through the cache: a subsequent run hits.
         assert cli.main(["run", "_probe", "--scale", "smoke",
@@ -241,14 +242,16 @@ class TestCLI:
 
     def test_bench_fused_gate(self, capsys, tmp_path, counting_spec):
         common = ["bench", "_probe", "--scale", "smoke", "--cache-dir", str(tmp_path),
-                  "--output", "", "--rounds", "3", "--skip-inference"]
-        assert cli.main(common + ["--min-fused-speedup", "1e9"]) == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-        assert cli.main(common + ["--min-fused-speedup", "0.0"]) == 0
+                  "--output", "", "--rounds", "3", "--micros", "fused"]
+        assert cli.main(common + ["--gate", "fused=1e9"]) == 1
+        err = capsys.readouterr().err
+        # Every kernel's violation is reported, not only the first.
+        assert err.count("PERF REGRESSION: fused:") == 2
+        assert cli.main(common + ["--gate", "fused=0.0"]) == 0
 
     def test_bench_inference_micro_recorded(self, capsys, tmp_path, counting_spec):
         json_path = tmp_path / "bench.json"
-        assert cli.main(["bench", "_probe", "--scale", "smoke", "--skip-fused",
+        assert cli.main(["bench", "_probe", "--scale", "smoke", "--micros", "inference",
                          "--cache-dir", str(tmp_path), "--rounds", "3",
                          "--output", str(json_path)]) == 0
         summary = json.loads(json_path.read_text())
@@ -257,14 +260,38 @@ class TestCLI:
         assert inference["batched"]["mean_seconds"] > 0
         assert inference["per_sample"]["mean_seconds"] > 0
         assert inference["speedup"] > 0
-        assert "inference batch speedup" in capsys.readouterr().out
+        assert summary["fused_ops"] == {}
+        assert "inference: batched vs per-sample loop" in capsys.readouterr().out
 
     def test_bench_inference_gate(self, capsys, tmp_path, counting_spec):
         common = ["bench", "_probe", "--scale", "smoke", "--cache-dir",
-                  str(tmp_path), "--output", "", "--rounds", "3", "--skip-fused"]
-        assert cli.main(common + ["--min-inference-speedup", "1e9"]) == 1
+                  str(tmp_path), "--output", "", "--rounds", "3",
+                  "--micros", "inference"]
+        assert cli.main(common + ["--gate", "inference=1e9"]) == 1
         assert "PERF REGRESSION" in capsys.readouterr().err
-        assert cli.main(common + ["--min-inference-speedup", "0.0"]) == 0
+        assert cli.main(common + ["--gate", "inference=0.0"]) == 0
+
+    @pytest.mark.parametrize("args, message", [
+        (["--micros", "fused", "--gate", "inference=3.0"], "vacuous"),
+        (["--micros", "", "--gate", "serving=2.0"], "vacuous"),
+        (["--micros", "fused,trace", "--gate", "pool=1.0"], "vacuous"),
+        (["--micros", "fused,bogus"], "unknown micro 'bogus'"),
+        (["--gate", "bogus=1.0"], "unknown micro 'bogus'"),
+        (["--gate", "fused"], "NAME=RATIO"),
+        (["--gate", "fused=abc"], "NAME=RATIO"),
+    ], ids=["vacuous-inference", "vacuous-serving", "vacuous-pool",
+            "unknown-micros", "unknown-gate", "gate-no-ratio", "gate-bad-ratio"])
+    def test_bench_rejects_bad_selection(self, capsys, tmp_path, counting_spec,
+                                         args, message):
+        _, runner = counting_spec
+        assert cli.main(["bench", "_probe", "--cache-dir", str(tmp_path),
+                         "--output", ""] + args) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if "unknown" in message:
+            assert "valid names: fused, inference, serving, pool, trace, " \
+                   "generate, train" in err
+        assert runner.calls == 0  # rejected before anything ran
 
     def test_run_jobs_flag_summary_and_exit(self, capsys, tmp_path, counting_spec):
         assert cli.main(["run", "_probe", "--scale", "smoke", "--jobs", "1",
@@ -294,3 +321,64 @@ class TestCLI:
         assert cli.main(["run", "table1", "--scale", "galactic",
                          "--cache-dir", str(tmp_path)]) == 1
         assert "galactic" in capsys.readouterr().err
+
+
+def _synthetic_result(name: str, mean: float, best: float) -> dict:
+    """A micro result carrying one (mean, best-of-rounds) ratio pair."""
+    pair = {"speedup": mean, "speedup_best": best}
+    if name == "fused":
+        return {"fused_ops": {}, "fused_speedups": {
+            "quadratic_conv_speedup": mean, "quadratic_conv_speedup_best": best}}
+    if name == "trace":
+        return {"model": "mlp_classifier/proposed", "batches": {"8": pair}}
+    return pair
+
+
+class TestBenchGates:
+    MICRO_NAMES = ["fused", "inference", "serving", "pool", "trace", "generate",
+                   "train"]
+
+    def test_table_names_the_seven_micros_in_run_order(self):
+        from repro import bench
+
+        assert list(bench.MICROS) == self.MICRO_NAMES
+
+    @pytest.mark.parametrize("name", MICRO_NAMES)
+    def test_gate_passes_on_best_of_rounds_and_names_the_micro(self, name):
+        from repro import bench
+
+        def gate(mean, best):
+            summary = bench.build_summary(
+                {}, {name: _synthetic_result(name, mean, best)},
+                scale="smoke", started=0.0)
+            return bench.check_gates(summary, {name: 1.0})
+
+        assert gate(0.5, 1.5) == []  # mean below the floor, best above it
+        violations = gate(0.5, 0.8)
+        assert len(violations) == 1
+        assert violations[0].startswith(f"{name}: ")
+        assert "below the 1.00x floor" in violations[0]
+        empty = bench.build_summary({}, {}, scale="smoke", started=0.0)
+        assert bench.check_gates(empty, {name: 1.0}) == \
+            [f"{name} benchmark missing from the summary"]
+
+    def test_trace_gates_every_batch(self):
+        from repro import bench
+
+        summary = {"trace": {"batches": {
+            "1": {"speedup": 0.5, "speedup_best": 0.6},
+            "8": {"fallback": True},
+            "16": {"speedup": 2.0, "speedup_best": 2.0}}}}
+        assert bench.check_gates(summary, {"trace": 1.0}) == [
+            "trace: traced vs dispatched at batch 1 = 0.500x (best-of-rounds "
+            "0.600x) is below the 1.00x floor",
+            "trace: traced vs dispatched at batch 8 ratio missing"]
+
+    @pytest.mark.parametrize("cores, expected", [
+        (1, (1,)), (2, (1, 2)), (3, (1, 2, 3)), (4, (1, 2, 4)), (64, (1, 2, 4))])
+    def test_scaling_micros_cap_worker_counts_at_the_core_count(
+            self, monkeypatch, cores, expected):
+        from repro import bench
+
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cores)
+        assert bench._default_worker_counts() == expected

@@ -723,12 +723,6 @@ class TestCLIServeParsing:
         assert cli.main(["serve"]) == 2
         assert "--model" in capsys.readouterr().err
 
-    def test_bench_serving_gate_vacuous_combination_rejected(self, capsys, tmp_path):
-        assert cli.main(["bench", "table1", "--cache-dir", str(tmp_path),
-                         "--output", "", "--skip-serving",
-                         "--min-serving-speedup", "2.0"]) == 2
-        assert "vacuous" in capsys.readouterr().err
-
 
 class TestBenchServing:
     def test_serving_benchmark_shape_and_gate(self):
@@ -741,6 +735,6 @@ class TestBenchServing:
         assert "speedup" in result
         summary = {"serving": result}
         # The gate reads this summary shape; an impossible floor trips it.
-        assert bench.check_serving_speedup(summary, 10_000.0)
-        assert bench.check_serving_speedup({"serving": {}}, 1.0) == \
+        assert bench.check_gates(summary, {"serving": 10_000.0})
+        assert bench.check_gates({"serving": {}}, {"serving": 1.0}) == \
             ["serving benchmark missing from the summary"]
