@@ -15,9 +15,7 @@ Demonstrates the full serving path added on top of the experiment stack:
    ``compile=False`` to force op-by-op dispatch.
 3. A :class:`~repro.serve.ModelRouter` mounts both predictors behind the
    stdlib HTTP server's versioned multi-model API — ``GET /v1/models``,
-   ``POST /v1/models/<name>/predict``, ``GET /v1/stats`` — while the legacy
-   ``POST /predict`` shim keeps answering for the default model (now with a
-   ``Deprecation`` header naming its v1 successor).
+   ``POST /v1/models/<name>/predict``, ``GET /v1/stats``.
 4. The router wraps each predictor in a
    :class:`~repro.serve.ManagedModel`, so the mounted models are *operable*
    while serving: the ``/v1/admin`` routes hot-reload a bundle with zero
@@ -121,10 +119,6 @@ def main() -> None:
                             for record in response["predictions"]]
             assert http_classes == predictor.predict(batch).tolist()
             print(f"/v1/models/{name}/predict matches in-process:", http_classes)
-
-        legacy = post("/predict")  # shim → default model ("quad")
-        assert legacy["model"] == "quad"
-        print("legacy /predict shim answered for:", legacy["model"])
 
         stats = json.load(urllib.request.urlopen(f"{base}/v1/stats"))
         entry = stats["models"]["quad"]

@@ -33,8 +33,8 @@
   ``--top-k``, ``--seed``).
 * ``serve``   — expose one or more bundles over HTTP through the v1
   multi-model API (``GET /v1/models``, ``POST /v1/models/<name>/predict``,
-  ``GET /v1/stats``, plus legacy ``/healthz`` and ``/predict`` shims),
-  with cross-request dynamic batching by default (``--engine batched``,
+  ``POST /v1/models/<name>/generate``, ``GET /v1/stats``), with
+  cross-request dynamic batching by default (``--engine batched``,
   tuned by ``--max-batch`` / ``--max-wait-ms`` / ``--queue-size``),
   trace-and-replay compilation per model (disable with ``--no-compile``),
   per-model admission control (``--max-inflight``), the ``/v1/admin``
@@ -276,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "the default unless --default is given)")
     serve_parser.add_argument("--default", dest="default_model", default=None,
                               metavar="NAME",
-                              help="model answering the legacy /predict and "
-                                   "/healthz shims (default: first mounted)")
+                              help="default model listed by /v1/models and "
+                                   "targeted by promote/reload without "
+                                   "--model (default: first mounted)")
     serve_parser.add_argument("--host", default="127.0.0.1",
                               help="bind address (default: 127.0.0.1)")
     serve_parser.add_argument("--port", type=int, default=8000,

@@ -19,8 +19,7 @@ pluggable engine boundary:
   returns one, and ``engine="batched"`` turns on cross-request batching.
 * :class:`ModelRouter` + :mod:`repro.serve.http` — named multi-model routing
   behind a stdlib ``ThreadingHTTPServer``: ``GET /v1/models``,
-  ``POST /v1/models/<name>/predict``, ``GET /v1/stats``, with the legacy
-  ``GET /healthz`` / ``POST /predict`` shims routing to the default model.
+  ``POST /v1/models/<name>/predict``, ``GET /v1/stats``.
 
 The one-liner::
 
@@ -57,9 +56,10 @@ __all__ = ["InferenceSession", "Pipeline", "Predictor", "load",
 class Predictor:
     """High-level inference façade over one model: session + engine + pipeline.
 
-    Construct directly from an in-memory model, or — the common path — via
-    :func:`load` / :meth:`from_bundle`, which pull normalization stats, class
-    labels and the expected input shape from the bundle metadata.
+    Construct from an in-memory model, a loaded bundle or a bundle path —
+    the common path is :func:`load`.  For bundles, normalization stats,
+    class labels and the expected input shape default to the bundle
+    metadata; explicit arguments override them.
 
     ``engine`` selects the scheduling layer every forward goes through:
     ``"direct"`` (default — inline, lock-serialized, PR 4 behavior),
@@ -89,23 +89,19 @@ class Predictor:
         self.engine = make_engine(engine, self.session,
                                   max_wait_ms=max_wait_ms, queue_size=queue_size,
                                   workers=workers)
-        self.pipeline = Pipeline(self.session, normalization=normalization,
-                                 classes=classes, input_shape=input_shape,
-                                 engine=self.engine)
+        bundle = self.session.bundle
+        if bundle is not None:  # explicit arguments win over bundle metadata
+            normalization = normalization if normalization is not None \
+                else bundle.normalization
+            classes = classes if classes is not None else bundle.classes
+            input_shape = input_shape if input_shape is not None \
+                else bundle.input_shape
+        self.pipeline = Pipeline(normalization=normalization, classes=classes,
+                                 input_shape=input_shape)
         if warm:
             # Through the engine, not the session: the pool engine warms
             # every worker's plan cache, not the parent's idle session.
             self.engine.warm(self.pipeline.input_shape)
-
-    @classmethod
-    def from_bundle(cls, bundle_or_path, max_batch: int = 64, warm: bool = False,
-                    engine="direct", max_wait_ms: float | None = None,
-                    queue_size: int | None = None, compile: bool = True,
-                    workers: int | None = None) -> "Predictor":
-        """Build a predictor from a loaded bundle or a bundle path."""
-        return cls(bundle_or_path, max_batch=max_batch, warm=warm, engine=engine,
-                   max_wait_ms=max_wait_ms, queue_size=queue_size, compile=compile,
-                   workers=workers)
 
     # -- convenience properties -------------------------------------------------
 
@@ -131,8 +127,15 @@ class Predictor:
 
     def predict_logits(self, inputs, normalize: bool = True,
                        timeout: float | None = None) -> np.ndarray:
-        """Raw model outputs, shape ``(N, num_classes)``, via the engine."""
-        return self.pipeline.logits(inputs, normalize=normalize, timeout=timeout)
+        """Raw model outputs, shape ``(N, num_classes)``, via the engine.
+
+        The single dispatch point: preprocess, then *submit* the forward to
+        the engine (so e.g. a :class:`BatchedEngine` can fuse it with
+        concurrent requests).  ``timeout`` bounds the wait for the result.
+        """
+        return self.engine.predict(
+            self.pipeline.preprocess(inputs, normalize=normalize),
+            timeout=timeout)
 
     def predict_proba(self, inputs, normalize: bool = True,
                       timeout: float | None = None) -> np.ndarray:
@@ -143,13 +146,14 @@ class Predictor:
     def predict_topk(self, inputs, k: int = 5, normalize: bool = True,
                      timeout: float | None = None) -> list[dict]:
         """Labeled top-``k`` records per sample (the HTTP response payload)."""
-        return self.pipeline.predict(inputs, k=k, normalize=normalize,
-                                     timeout=timeout)
+        return self.pipeline.postprocess(
+            self.predict_logits(inputs, normalize=normalize, timeout=timeout),
+            k=k)
 
     # -- introspection / lifecycle ----------------------------------------------
 
     def describe(self) -> dict:
-        """Model + session summary (served on ``/healthz`` and ``/v1/models``)."""
+        """Model + session summary (served on ``/v1/models``)."""
         info = self.session.describe()
         info["engine"] = self.engine.name
         if self.input_shape is not None:
@@ -206,11 +210,10 @@ def load(path, max_batch: int = 64, warm: bool = True, engine="direct",
     if bundle.section.get("generation"):
         from .generate import GenerationPredictor
 
-        return GenerationPredictor.from_bundle(
+        return GenerationPredictor(
             bundle, max_batch=max_batch, warm=warm, engine=engine,
             max_wait_ms=max_wait_ms, queue_size=queue_size, compile=compile,
             workers=workers)
-    return Predictor.from_bundle(bundle, max_batch=max_batch, warm=warm,
-                                 engine=engine, max_wait_ms=max_wait_ms,
-                                 queue_size=queue_size, compile=compile,
-                                 workers=workers)
+    return Predictor(bundle, max_batch=max_batch, warm=warm, engine=engine,
+                     max_wait_ms=max_wait_ms, queue_size=queue_size,
+                     compile=compile, workers=workers)

@@ -103,10 +103,6 @@ class GenerationPredictor:
         # `warm` is accepted for load()-option symmetry: the decode state is
         # preallocated by the engine, so there is nothing left to warm.
 
-    @classmethod
-    def from_bundle(cls, bundle_or_path, **options) -> "GenerationPredictor":
-        return cls(bundle_or_path, **options)
-
     # -- input/output mapping --------------------------------------------------
 
     def encode_source(self, text) -> list[int]:

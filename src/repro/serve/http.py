@@ -15,8 +15,8 @@ Versioned API
 ``GET /v1/models/<name>``
     One model's description.
 ``POST /v1/models/<name>/predict``
-    Body ``{"inputs": <nested array>, "top_k": <int, optional>,
-    "normalize": <bool, optional>}``; response ``{"model": <name>,
+    Body ``{"inputs": <nested array>, "top_k": <int, default 1>,
+    "normalize": <bool, default true>}``; response ``{"model": <name>,
     "predictions": [...], "count": N}`` with one top-k record per sample.
 ``POST /v1/models/<name>/generate``
     Generation bundles only.  Body ``{"inputs": <token-id sequences or
@@ -28,9 +28,8 @@ Versioned API
 ``GET /v1/stats``
     Stats schema v2: ``{"schema_version": 2, "server": {uptime_seconds,
     version, pid}, "models": {<name>: <entry>}}`` where each model entry
-    carries the structured ``scheduler``/``plan_cache``/``latency``/
-    ``admission``/``bundle``/``canary`` sections (plus the engine's flat
-    counters as deprecated aliases for one release).
+    carries the ``scheduler``/``plan_cache``/``latency``/``admission``/
+    ``bundle``/``requests_routed``/``canary`` sections.
 ``GET /v1/models/<name>/stats``
     One model's stats entry (same shape as its ``models.<name>`` section).
 
@@ -49,20 +48,14 @@ Admin API (the control plane; disable with ``serve(admin=False)``)
 ``DELETE /v1/admin/models/<name>/canary``
     Retire the staged canary without touching the primary.
 
-Legacy shims (PR 4 surface; deprecated — they answer with a ``Deprecation``
-header naming the v1 successor route)
----------------------------------------------------------------------------
-``GET /healthz``
-    Liveness + the *default* model's summary (successor: ``GET /v1/models``).
-``POST /predict``
-    Routes to the default model (successor: ``POST /v1/models/<name>/predict``).
-
-Status mapping: malformed payloads → 400, unknown paths/models → 404, admin
-API disabled → 403, full request queue *or a model past its admission cap*
-→ 429 (backpressure), engine shut down → 503, request timeout → 504,
-anything unexpected → 500.  SIGINT/SIGTERM drain gracefully: the server
-stops accepting, engines fail queued futures with a clear error, and
-in-flight responses flush before the process exits.
+Optional fields left out or sent as ``null`` take their defaults.  Status
+mapping: malformed payloads (including a field that does not cast to its
+type) → 400, unknown paths/models → 404, admin API disabled → 403, full
+request queue *or a model past its admission cap* → 429 (backpressure),
+engine shut down → 503, request timeout → 504, anything unexpected → 500.
+SIGINT/SIGTERM drain gracefully: the server stops accepting, engines fail
+queued futures with a clear error, and in-flight responses flush before
+the process exits.
 """
 
 from __future__ import annotations
@@ -85,25 +78,35 @@ __all__ = ["make_server", "serve", "PredictionHandler", "PredictionServer"]
 #: request buffering unbounded memory, not a tuning knob.
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
-_ENDPOINTS = ("GET /healthz, GET /v1/models, GET /v1/models/<name>, "
-              "GET /v1/models/<name>/stats, GET /v1/stats, POST /predict, "
+_ENDPOINTS = ("GET /v1/models, GET /v1/models/<name>, "
+              "GET /v1/models/<name>/stats, GET /v1/stats, "
               "POST /v1/models/<name>/predict, "
               "POST /v1/models/<name>/generate, "
               "POST /v1/admin/models/<name>/{reload,canary,promote}, "
               "DELETE /v1/admin/models/<name>/canary")
 
-#: Value of the ``Deprecation`` header on legacy-shim responses (the header's
-#: draft-RFC form is a boolean; the successor route goes in ``Link``).
-_DEPRECATION = "true"
+#: ``POST /v1/models/<name>/<verb>``: the optional request fields each verb
+#: casts, as ``(field, cast)`` pairs, and the response key of its results.
+_VERBS = {
+    "predict": ((("top_k", int), ("normalize", bool)), "predictions"),
+    "generate": ((("max_new_tokens", int), ("strategy", str),
+                  ("temperature", float), ("top_k", int), ("seed", int)),
+                 "outputs"),
+}
+
+#: Optional fields of ``POST /v1/admin/models/<name>/canary``.
+_CANARY_FIELDS = (("percent", float), ("shadow", bool))
 
 
-def _deprecation_headers(successor: str) -> dict:
-    return {"Deprecation": _DEPRECATION,
-            "Link": f"<{successor}>; rel=\"successor-version\""}
+def _cast_fields(request: dict, fields) -> dict:
+    """The given fields of ``request``, cast; absent or ``null`` keeps the
+    default.  A failed cast raises ``ValueError``/``TypeError`` (HTTP 400)."""
+    return {field: cast(request[field]) for field, cast in fields
+            if request.get(field) is not None}
 
 
 class PredictionHandler(BaseHTTPRequestHandler):
-    """Routes the v1 multi-model API (plus legacy shims) onto the router."""
+    """Routes the v1 multi-model API onto the router."""
 
     server_version = "repro-serve/2.1"
     protocol_version = "HTTP/1.1"
@@ -177,13 +180,7 @@ class PredictionHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         path = self.path.partition("?")[0].rstrip("/")
-        if path in ("", "/healthz"):
-            resolved = self._resolve_model(None)
-            if resolved:
-                self._send_json(200, {"status": "ok", "model_name": resolved[0],
-                                      **resolved[1].describe()},
-                                headers=_deprecation_headers("/v1/models"))
-        elif path == "/v1/models":
+        if path == "/v1/models":
             self._send_json(200, self.server.router.describe())
         elif path == "/v1/stats":
             self._send_json(200, self._stats_payload())
@@ -208,91 +205,42 @@ class PredictionHandler(BaseHTTPRequestHandler):
         if path.startswith("/v1/admin/"):
             self._handle_admin("POST", path, body)
             return
-        if path == "/predict":
-            model_name = None  # legacy shim → default model
-            extra_headers = _deprecation_headers(
-                f"/v1/models/{self.server.router.default_name}/predict")
-        elif path.startswith("/v1/models/") and path.endswith("/generate"):
-            self._handle_generate(
-                unquote(path[len("/v1/models/"):-len("/generate")]), body)
-            return
-        elif path.startswith("/v1/models/") and path.endswith("/predict"):
-            model_name = unquote(path[len("/v1/models/"):-len("/predict")])
-            extra_headers = None
+        prefix = "/v1/models/"
+        name, _, verb = path[len(prefix):].rpartition("/")
+        if path.startswith(prefix) and name and verb in _VERBS:
+            self._handle_inference(unquote(name), verb, body)
         else:
             self._not_found()
-            return
+
+    def _handle_inference(self, model_name: str, verb: str, body: bytes) -> None:
+        """``POST /v1/models/<name>/{predict,generate}``: parse, call the
+        model, map its errors onto the status taxonomy."""
         resolved = self._resolve_model(model_name)
         if not resolved:
             return
         name, model = resolved
-
+        fields, results_key = _VERBS[verb]
         try:
             if not body:
                 raise ValueError("request body is empty")
             request = json.loads(body.decode("utf-8"))
             if not isinstance(request, dict) or "inputs" not in request:
                 raise ValueError('request must be a JSON object with an "inputs" key')
-            k = int(request.get("top_k", 1))
-            normalize = bool(request.get("normalize", True))
-        except (ValueError, json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._send_json(400, {"error": str(error)}, headers=extra_headers)
-            return
-
-        try:
-            predictions = model.predict_topk(
-                request["inputs"], k=k, normalize=normalize,
-                timeout=self.server.request_timeout)
-        except QueueFull as error:  # backpressure (engine queue or admission cap)
-            self._send_json(429, {"error": str(error)},
-                            headers={"Retry-After": "1", **(extra_headers or {})})
-            return
-        except EngineClosed as error:  # draining for shutdown
-            self._send_json(503, {"error": str(error)}, headers=extra_headers)
-            return
-        except (TimeoutError, FutureTimeout) as error:
-            self._send_json(504, {"error": str(error)}, headers=extra_headers)
-            return
-        except ValueError as error:  # shape/validation problems are the client's
-            self._send_json(400, {"error": str(error)}, headers=extra_headers)
-            return
-        except Exception as error:  # noqa: BLE001 — a serving loop must not die
-            self._send_json(500, {"error": f"{type(error).__name__}: {error}"},
-                            headers=extra_headers)
-            return
-        self._send_json(200, {"model": name, "predictions": predictions,
-                              "count": len(predictions)}, headers=extra_headers)
-
-    def _handle_generate(self, model_name: str, body: bytes) -> None:
-        """``POST /v1/models/<name>/generate`` — token ids in, tokens +
-        per-step logprobs out, same status taxonomy as predict."""
-        resolved = self._resolve_model(model_name)
-        if not resolved:
-            return
-        name, model = resolved
-        try:
-            if not body:
-                raise ValueError("request body is empty")
-            request = json.loads(body.decode("utf-8"))
-            if not isinstance(request, dict) or "inputs" not in request:
-                raise ValueError('request must be a JSON object with an '
-                                 '"inputs" key (token-id sequences or text)')
-            options = {}
-            for key, cast in (("max_new_tokens", int), ("strategy", str),
-                              ("temperature", float), ("top_k", int),
-                              ("seed", int)):
-                if request.get(key) is not None:
-                    options[key] = cast(request[key])
-        except (ValueError, TypeError, json.JSONDecodeError,
-                UnicodeDecodeError) as error:
+            options = _cast_fields(request, fields)
+        except (ValueError, TypeError) as error:  # incl. JSON/Unicode decode errors
             self._send_json(400, {"error": str(error)})
             return
 
+        timeout = self.server.request_timeout
         try:
-            outputs = model.generate(request["inputs"],
-                                     timeout=self.server.request_timeout,
-                                     **options)
-        except QueueFull as error:  # backpressure → 429
+            if verb == "predict":
+                results = model.predict_topk(request["inputs"],
+                                             k=options.pop("top_k", 1),
+                                             timeout=timeout, **options)
+            else:
+                results = model.generate(request["inputs"], timeout=timeout,
+                                         **options)
+        except QueueFull as error:  # backpressure (engine queue or admission cap)
             self._send_json(429, {"error": str(error)},
                             headers={"Retry-After": "1"})
             return
@@ -302,14 +250,14 @@ class PredictionHandler(BaseHTTPRequestHandler):
         except (TimeoutError, FutureTimeout) as error:
             self._send_json(504, {"error": str(error)})
             return
-        except ValueError as error:  # bad tokens / not a generation model
+        except ValueError as error:  # shapes, tokens, wrong verb: the client's
             self._send_json(400, {"error": str(error)})
             return
         except Exception as error:  # noqa: BLE001 — a serving loop must not die
             self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
             return
-        self._send_json(200, {"model": name, "outputs": outputs,
-                              "count": len(outputs)})
+        self._send_json(200, {"model": name, results_key: results,
+                              "count": len(results)})
 
     def do_DELETE(self):
         body = self._read_body()
@@ -351,7 +299,9 @@ class PredictionHandler(BaseHTTPRequestHandler):
             request = json.loads(body.decode("utf-8")) if body else {}
             if not isinstance(request, dict):
                 raise ValueError("admin request body must be a JSON object")
-        except (ValueError, json.JSONDecodeError, UnicodeDecodeError) as error:
+            canary = _cast_fields(request, _CANARY_FIELDS) \
+                if verb == "canary" else {}
+        except (ValueError, TypeError) as error:  # incl. JSON/Unicode decode errors
             self._send_json(400, {"error": str(error)})
             return
 
@@ -365,11 +315,9 @@ class PredictionHandler(BaseHTTPRequestHandler):
                 if "bundle" not in request:
                     raise ValueError('staging a canary requires a "bundle" '
                                      'key (the candidate bundle path)')
-                result = model.set_canary(
-                    request["bundle"],
-                    percent=float(request.get("percent", 10.0)),
-                    shadow=bool(request.get("shadow", False)),
-                    options=request.get("options"))
+                result = model.set_canary(request["bundle"],
+                                          options=request.get("options"),
+                                          **canary)
             else:  # promote
                 result = model.promote()
         except (ValueError, KeyError, FileNotFoundError, OSError) as error:
@@ -398,30 +346,25 @@ class PredictionServer(ThreadingHTTPServer):
         self.admin_enabled = bool(admin)
         self.start_monotonic = time.monotonic()
 
-    @property
-    def predictor(self):
-        """The default model's predictor (back-compat with the PR 4 server)."""
-        return self.router.default
-
 
 def make_server(models, host: str = "127.0.0.1", port: int = 8000,
                 quiet: bool = False, request_timeout: float | None = 30.0,
                 admin: bool = True) -> PredictionServer:
     """Build (but do not start) the HTTP server around one or many models.
 
-    ``models`` is a :class:`ModelRouter`, a ``{name: Predictor}`` mapping, or
-    — the PR 4 signature, still supported — a single ``Predictor`` (mounted
-    as the default model).  ``port=0`` binds an ephemeral port (read it back
-    from ``server.server_address``), which is what the tests use.
+    ``models`` is a :class:`ModelRouter` or a ``{name: predictor}`` mapping
+    (mount a single predictor as ``{"default": predictor}``).  ``port=0``
+    binds an ephemeral port (read it back from ``server.server_address``),
+    which is what the tests use.
     ``admin=False`` turns the ``/v1/admin`` control-plane routes off (403).
     """
-    if isinstance(models, ModelRouter):
-        router = models
-    elif isinstance(models, dict):
-        router = ModelRouter(models)
-    else:  # a single predictor
-        router = ModelRouter({"default": models})
-    return PredictionServer((host, port), router, quiet=quiet,
+    if isinstance(models, dict):
+        models = ModelRouter(models)
+    elif not isinstance(models, ModelRouter):
+        raise TypeError(f"make_server takes a ModelRouter or a {{name: "
+                        f"predictor}} mapping, got {type(models).__name__}; "
+                        f"mount a single predictor as {{'default': predictor}}")
+    return PredictionServer((host, port), models, quiet=quiet,
                             request_timeout=request_timeout, admin=admin)
 
 

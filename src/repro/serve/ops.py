@@ -142,7 +142,7 @@ class ManagedModel:
         self._shadow_queue: queue.Queue | None = None
         self._shadow_thread: threading.Thread | None = None
 
-    # -- delegation: the Predictor surface transports already use --------------
+    # -- the primary mount -----------------------------------------------------
 
     @property
     def predictor(self):
@@ -152,26 +152,6 @@ class ManagedModel:
     @property
     def engine(self):
         return self._primary.predictor.engine
-
-    @property
-    def session(self):
-        return self._primary.predictor.session
-
-    @property
-    def pipeline(self):
-        return self._primary.predictor.pipeline
-
-    @property
-    def model(self):
-        return self._primary.predictor.model
-
-    @property
-    def classes(self):
-        return self._primary.predictor.classes
-
-    @property
-    def input_shape(self):
-        return self._primary.predictor.input_shape
 
     @property
     def bundle_path(self) -> str | None:
@@ -509,23 +489,19 @@ class ManagedModel:
         return info
 
     def stats(self) -> dict:
-        """One model's entry in the v2 stats schema (plus legacy aliases).
+        """One model's entry in the v2 stats schema.
 
-        Stable v2 sections: ``scheduler`` (the engine's own stats),
-        ``plan_cache``, ``latency`` (primary histogram), ``admission``,
-        ``bundle`` (path + reload count) and ``canary`` (``None`` when no
-        candidate is staged).  The engine's flat keys (``engine`` as a
-        string, ``requests``, ``queue_depth``, ...) remain merged at the top
-        level as deprecated aliases for one release; note this makes the
-        flat ``restarts`` mean *model reloads* — the pool engine's worker
-        respawns live under ``scheduler.restarts``.
+        Sections: ``scheduler`` (the engine's own stats, including the pool
+        engine's worker ``restarts``), ``plan_cache``, ``latency`` (primary
+        histogram), ``admission``, ``bundle`` (path + reload count),
+        ``requests_routed`` and ``canary`` (``None`` when no candidate is
+        staged).
         """
         scheduler = self._primary.predictor.stats()
-        entry = dict(scheduler)  # legacy flat aliases (one release)
-        entry["scheduler"] = {key: value for key, value in scheduler.items()
-                              if key != "plan_cache"}
-        entry["plan_cache"] = scheduler.get("plan_cache")
-        entry["latency"] = self._primary.latency.summary()
+        entry = {"scheduler": {key: value for key, value in scheduler.items()
+                               if key != "plan_cache"},
+                 "plan_cache": scheduler.get("plan_cache"),
+                 "latency": self._primary.latency.summary()}
         with self._lock:
             inflight = self._primary.inflight + \
                 (self._canary.inflight if self._canary is not None else 0)
@@ -536,7 +512,6 @@ class ManagedModel:
             }
             entry["bundle"] = {"path": self._primary.source,
                                "reloads": self.reloads}
-            entry["restarts"] = self.reloads
             entry["requests_routed"] = {"primary": self.primary_requests,
                                         "canary": self.canary_requests}
             canary = self._canary

@@ -1,7 +1,7 @@
-"""Pre/post-processing around an inference session.
+"""Pre/post-processing around a classifier's forward.
 
-The session speaks raw float arrays and logits; this module turns it into a
-classification service:
+The serving engines speak raw float arrays and logits; this module turns
+them into a classification service:
 
 * **preprocess** — accept nested lists or arrays, promote a single sample to a
   batch of one (when the expected ``input_shape`` is known), cast to float32
@@ -12,9 +12,8 @@ classification service:
 
 Everything here is pure NumPy on plain arrays — no tensors, no graph — so
 the only locked, stateful stage of a request is the forward, which
-:meth:`Pipeline.logits` hands to the attached serving engine (or straight to
-the session when no engine is attached).  That method is the single
-dispatch point every prediction path goes through.
+:class:`~repro.serve.Predictor` submits to its serving engine between the
+two stages.
 """
 
 from __future__ import annotations
@@ -49,30 +48,19 @@ def top_k(probabilities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Pipeline:
-    """Normalization-in, top-k-out classification pipeline over a session.
+    """Normalization-in, top-k-out classification pipeline.
 
-    Parameters mirror the bundle metadata and default from the session's
-    bundle when one is attached; every knob can be overridden for models
-    served without a bundle (e.g. an in-memory model in tests).
+    Holds only the bundle metadata the two stages need; the forward between
+    them belongs to the caller (:class:`~repro.serve.Predictor` submits it
+    to its serving engine).  ``None`` for any field disables that step.
     """
 
-    def __init__(self, session, normalization: dict | None = None,
+    def __init__(self, normalization: dict | None = None,
                  classes: list[str] | None = None,
-                 input_shape: tuple | None = None, engine=None,
-                 compile: bool | None = None):
-        bundle = getattr(session, "bundle", None)
-        self.session = session
-        self.engine = engine
-        # ``compile=`` overrides the session's trace-and-replay switch (leave
-        # None to keep whatever the session was built with).
-        if compile is not None and hasattr(session, "compile_enabled"):
-            session.compile_enabled = bool(compile)
-        self.normalization = normalization if normalization is not None else \
-            (bundle.normalization if bundle is not None else None)
-        self.classes = classes if classes is not None else \
-            (bundle.classes if bundle is not None else None)
-        self.input_shape = tuple(input_shape) if input_shape is not None else \
-            (bundle.input_shape if bundle is not None else None)
+                 input_shape: tuple | None = None):
+        self.normalization = normalization
+        self.classes = classes
+        self.input_shape = tuple(input_shape) if input_shape is not None else None
 
     # -- stages ---------------------------------------------------------------
 
@@ -110,25 +98,3 @@ class Pipeline:
         if self.classes is not None and 0 <= index < len(self.classes):
             return str(self.classes[index])
         return f"class_{index}"
-
-    # -- end to end -------------------------------------------------------------
-
-    def logits(self, inputs, normalize: bool = True,
-               timeout: float | None = None) -> np.ndarray:
-        """Preprocess and run the forward — the single dispatch point.
-
-        When an engine is attached the forward is *submitted* to it (so e.g.
-        a :class:`~repro.serve.batching.BatchedEngine` can fuse it with
-        concurrent requests); without one it runs directly on the session.
-        ``timeout`` bounds the wait for an engine result.
-        """
-        batch = self.preprocess(inputs, normalize=normalize)
-        if self.engine is not None:
-            return self.engine.predict(batch, timeout=timeout)
-        return self.session.predict(batch)
-
-    def predict(self, inputs, k: int = 1, normalize: bool = True,
-                timeout: float | None = None) -> list[dict]:
-        """Full request path: preprocess → scheduled forward → top-k records."""
-        return self.postprocess(
-            self.logits(inputs, normalize=normalize, timeout=timeout), k=k)

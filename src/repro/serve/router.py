@@ -2,10 +2,11 @@
 
 A :class:`ModelRouter` is an ordered mapping of model names to live
 :class:`~repro.serve.ops.ManagedModel` mounts plus the notion of a *default*
-model (the target of the legacy ``/predict`` and ``/healthz`` shims).  The
-HTTP layer holds exactly one router and resolves every request path through
-it; in-process embedders can use it the same way to serve several bundles
-behind one object.
+model (listed by ``GET /v1/models`` and targeted by ``repro promote`` /
+``repro reload`` when no ``--model`` is named).  The HTTP layer holds
+exactly one router and resolves every request path through it; in-process
+embedders can use it the same way to serve several bundles behind one
+object.
 
 Every predictor added to the router is wrapped in a
 :class:`~repro.serve.ops.ManagedModel`, which is what makes the mount table

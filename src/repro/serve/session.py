@@ -197,7 +197,7 @@ class InferenceSession:
         return stats
 
     def describe(self) -> dict:
-        """Session + model summary (the backbone of ``/healthz``)."""
+        """Session + model summary (the backbone of ``/v1/models``)."""
         spec = getattr(self.model, "model_spec", None)
         info = {
             "model": spec["name"] if spec else type(self.model).__name__,

@@ -196,16 +196,39 @@ class TestHTTPGenerate:
             f"{base}/v1/models/gen/predict", 400,
             payload={"inputs": [[0.0, 1.0]]})
 
+    @pytest.mark.parametrize("top_k,status", [
+        (None, 200),       # null keeps the default
+        ([1], 400),        # int([1]) is a TypeError: still a 400
+        ({"k": 1}, 400),
+        ("abc", 400),      # int("abc") is a ValueError
+    ], ids=["null", "list", "object", "string"])
+    @pytest.mark.parametrize("model,verb,inputs", [
+        ("cls", "predict", np.zeros((1, 3, 8, 8)).tolist()),
+        ("gen", "generate", [[5, 9, 3]]),
+    ], ids=["predict", "generate"])
+    def test_field_types_get_a_status_never_a_dropped_connection(
+            self, live_server, model, verb, inputs, top_k, status):
+        base, _, _ = live_server
+        url = f"{base}/v1/models/{model}/{verb}"
+        payload = {"inputs": inputs, "top_k": top_k, "max_new_tokens": 2}
+        if status != 200:
+            assert self._expect_error(url, status, payload=payload)
+            return
+        reply = _post_json(url, payload)
+        assert reply["count"] == 1
+        if verb == "predict":  # predict's HTTP default is top_k=1
+            assert len(reply["predictions"][0]["top_k"]) == 1
+
     def test_stats_v2_pin_the_generation_section(self, live_server):
         base, _, _ = live_server
         _post_json(f"{base}/v1/models/gen/generate",
                    {"inputs": [[5, 9, 3]], "max_new_tokens": 2})
         stats = _post_json(f"{base}/v1/stats", method="GET")
-        entry = stats["models"]["gen"]
-        assert entry["engine"] == "generation"
-        assert set(entry["generation"]) == {
+        scheduler = stats["models"]["gen"]["scheduler"]
+        assert scheduler["engine"] == "generation"
+        assert set(scheduler["generation"]) == {
             "tokens_generated", "completed", "active_sequences",
             "mean_batch_occupancy", "slots", "cache"}
-        assert entry["generation"]["tokens_generated"] >= 1
+        assert scheduler["generation"]["tokens_generated"] >= 1
         # the classifier entry has no generation section
-        assert "generation" not in stats["models"]["cls"]
+        assert "generation" not in stats["models"]["cls"]["scheduler"]

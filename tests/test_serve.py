@@ -12,7 +12,7 @@ import repro
 from repro import cli
 from repro.io import save_bundle
 from repro.models import SimpleCNN
-from repro.serve import InferenceSession, Pipeline, Predictor, make_server, softmax, top_k
+from repro.serve import InferenceSession, Predictor, make_server, softmax, top_k
 from repro.tensor import Tensor, graph_nodes_created
 
 
@@ -120,7 +120,7 @@ class TestPipeline:
 
     def test_normalization_applied_from_bundle(self, bundle_path):
         bundle = repro.load_bundle(bundle_path)
-        predictor = Predictor.from_bundle(bundle)
+        predictor = Predictor(bundle)
         raw = _inputs(3)
         normalized = (raw - np.float32(0.25)) / np.float32(2.0)
         np.testing.assert_array_equal(
@@ -140,9 +140,7 @@ class TestPipeline:
             predictor.predict(np.zeros((2, 3, 5, 5), dtype=np.float32))
 
     def test_pipeline_without_metadata_passes_through(self):
-        session = InferenceSession(_tiny_model())
-        pipeline = Pipeline(session)
-        records = pipeline.predict(_inputs(2), k=1)
+        records = Predictor(_tiny_model()).predict_topk(_inputs(2), k=1)
         assert [r["label"].startswith("class_") for r in records] == [True, True]
 
 
@@ -166,7 +164,7 @@ class TestTopLevelAPI:
 @pytest.fixture
 def http_server(bundle_path):
     predictor = repro.load(bundle_path, warm=False)
-    server = make_server(predictor, port=0, quiet=True)
+    server = make_server({"default": predictor}, port=0, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -184,18 +182,19 @@ def _post_json(url: str, payload: dict) -> dict:
 
 
 class TestHTTP:
-    def test_healthz(self, http_server):
+    def test_describe_model(self, http_server):
         base, _ = http_server
-        with urllib.request.urlopen(f"{base}/healthz", timeout=30) as response:
+        with urllib.request.urlopen(f"{base}/v1/models/default",
+                                    timeout=30) as response:
             payload = json.load(response)
-        assert payload["status"] == "ok"
+        assert payload["name"] == "default"
         assert payload["model"] == "simple_cnn"
         assert payload["input_shape"] == [3, 8, 8]
 
     def test_predict_matches_in_process_answer(self, http_server):
         base, predictor = http_server
         inputs = _inputs(3)
-        response = _post_json(f"{base}/predict",
+        response = _post_json(f"{base}/v1/models/default/predict",
                               {"inputs": inputs.tolist(), "top_k": 2})
         assert response["count"] == 3
         http_classes = [record["class_index"] for record in response["predictions"]]
@@ -210,7 +209,8 @@ class TestHTTP:
 
         def hit():
             try:
-                response = _post_json(f"{base}/predict", {"inputs": inputs.tolist()})
+                response = _post_json(f"{base}/v1/models/default/predict",
+                                      {"inputs": inputs.tolist()})
                 results.append([r["class_index"] for r in response["predictions"]])
             except Exception as error:  # noqa: BLE001 — collected for assertion
                 errors.append(error)
@@ -230,7 +230,7 @@ class TestHTTP:
     ])
     def test_malformed_requests_get_400(self, http_server, body, fragment):
         base, _ = http_server
-        request = urllib.request.Request(f"{base}/predict", data=body)
+        request = urllib.request.Request(f"{base}/v1/models/default/predict", data=body)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
@@ -239,12 +239,17 @@ class TestHTTP:
     def test_wrong_shape_gets_400(self, http_server):
         base, _ = http_server
         request = urllib.request.Request(
-            f"{base}/predict",
+            f"{base}/v1/models/default/predict",
             data=json.dumps({"inputs": [[1.0, 2.0]]}).encode())
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         assert "does not match" in json.load(excinfo.value)["error"]
+
+    def test_make_server_needs_a_router_or_a_mapping(self, http_server):
+        _, predictor = http_server
+        with pytest.raises(TypeError, match="'default': predictor"):
+            make_server(predictor, port=0, quiet=True)
 
     def test_unknown_path_gets_404(self, http_server):
         base, _ = http_server
@@ -265,16 +270,17 @@ class TestHTTP:
             connection.request("POST", "/nope", body=b'{"inputs": [1, 2, 3]}')
             response = connection.getresponse()
             assert response.status == 404 and response.read()
-            connection.request("GET", "/healthz")
+            connection.request("GET", "/v1/models")
             response = connection.getresponse()
             assert response.status == 200
-            assert json.loads(response.read())["status"] == "ok"
+            assert json.loads(response.read())["default"] == "default"
             # A 400 (bad JSON) must equally leave the connection clean.
-            connection.request("POST", "/predict", body=b"{broken")
+            connection.request("POST", "/v1/models/default/predict",
+                               body=b"{broken")
             response = connection.getresponse()
             assert response.status == 400 and response.read()
             inputs = _inputs(1)
-            connection.request("POST", "/predict",
+            connection.request("POST", "/v1/models/default/predict",
                                body=json.dumps({"inputs": inputs.tolist()}).encode())
             response = connection.getresponse()
             assert response.status == 200

@@ -543,25 +543,29 @@ class TestHTTPMultiModel:
         assert payload["engine"] == "direct"
 
     def test_legacy_shims_route_to_default_model(self, multi_server):
+        """/v1/models names the default model, which answers on its own
+        v1 route."""
         base, router = multi_server
-        health = json.load(urllib.request.urlopen(f"{base}/healthz", timeout=30))
-        assert health["status"] == "ok"
-        assert health["model_name"] == "quad"
+        default = json.load(urllib.request.urlopen(
+            f"{base}/v1/models", timeout=30))["default"]
+        assert default == "quad"
         x = _inputs(2)
-        response = _post_json(f"{base}/predict", {"inputs": x.tolist()})
+        response = _post_json(f"{base}/v1/models/{default}/predict",
+                              {"inputs": x.tolist()})
         assert response["model"] == "quad"
         assert [r["class_index"] for r in response["predictions"]] == \
-            router.get("quad").predict(x).tolist()
+            router.default.predict(x).tolist()
 
     def test_v1_stats_reports_scheduling_counters(self, multi_server):
         base, _ = multi_server
         _post_json(f"{base}/v1/models/quad/predict",
                    {"inputs": _inputs(2).tolist()})
         stats = json.load(urllib.request.urlopen(f"{base}/v1/stats", timeout=30))
-        assert stats["models"]["quad"]["engine"] == "batched"
-        assert stats["models"]["quad"]["requests"] >= 1
-        assert stats["models"]["quad"]["samples"] >= 2
-        assert stats["models"]["linear"]["engine"] == "direct"
+        quad = stats["models"]["quad"]["scheduler"]
+        assert quad["engine"] == "batched"
+        assert quad["requests"] >= 1
+        assert quad["samples"] >= 2
+        assert stats["models"]["linear"]["scheduler"]["engine"] == "direct"
 
     def test_url_encoded_model_names_resolve(self, multi_server):
         base, router = multi_server
@@ -621,7 +625,8 @@ class TestHTTPBackpressure:
         session = InferenceSession(_tiny_model(), max_batch=8)
         engine = BatchedEngine(session, queue_size=1, autostart=False)
         predictor = Predictor(_tiny_model(), input_shape=(3, 8, 8), engine=engine)
-        server = make_server(predictor, port=0, quiet=True, request_timeout=0.2)
+        server = make_server({"default": predictor}, port=0, quiet=True,
+                             request_timeout=0.2)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -632,7 +637,7 @@ class TestHTTPBackpressure:
 
     def _post_expecting_error(self, base, code):
         request = urllib.request.Request(
-            f"{base}/predict",
+            f"{base}/v1/models/default/predict",
             data=json.dumps({"inputs": _inputs(1).tolist()}).encode())
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)

@@ -139,9 +139,7 @@ class TestHotReload:
         try:
             model.reload()
             model.reload(bundle=bundles[1])
-            stats = model.stats()
-            assert stats["restarts"] == 2
-            assert stats["bundle"] == {"path": bundles[1], "reloads": 2}
+            assert model.stats()["bundle"] == {"path": bundles[1], "reloads": 2}
         finally:
             model.close()
 
@@ -201,7 +199,7 @@ class TestReloadUnderStorm:
 
         assert errors == []
         assert len(successes) == self.CLIENTS * self.REQUESTS_EACH
-        assert model.stats()["restarts"] == 3
+        assert model.stats()["bundle"]["reloads"] == 3
         for engine in retired_engines:
             assert engine.stats()["closed"] is True
         model.close()
@@ -503,9 +501,21 @@ class TestAdminAPI:
         assert "JSON object" in self._expect_error(
             f"{base}/v1/admin/models/main/reload", 400, payload=[1, 2])
 
+    def test_canary_fields_follow_the_cast_rule(self, live_server):
+        """``null`` keeps the default; an uncastable value is a 400."""
+        base, quad, _ = live_server
+        url = f"{base}/v1/admin/models/main/canary"
+        assert "float" in self._expect_error(
+            url, 400, payload={"bundle": quad, "percent": [50]})
+        staged = _post_json(url, {"bundle": quad, "percent": None,
+                                  "shadow": None})
+        assert (staged["percent"], staged["shadow"]) == (10.0, False)
+        _post_json(url, method="DELETE")
+
     def test_admin_disabled_returns_403(self, bundles):
         predictor = Predictor(_tiny_model(), input_shape=(3, 8, 8))
-        server = make_server(predictor, port=0, quiet=True, admin=False)
+        server = make_server({"default": predictor}, port=0, quiet=True,
+                             admin=False)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         base = "http://%s:%s" % server.server_address[:2]
@@ -552,7 +562,7 @@ class TestAdminAPI:
         assert errors == []
         assert statuses == [200] * (clients * each)
         stats = _post_json(f"{base}/v1/stats", method="GET")
-        assert stats["models"]["main"]["restarts"] == 2
+        assert stats["models"]["main"]["bundle"]["reloads"] == 2
         assert stats["models"]["main"]["bundle"]["path"] == quad
 
 
@@ -579,15 +589,19 @@ class TestStatsSchemaV2:
         assert entry["admission"] == {"max_inflight": None, "inflight": 0,
                                       "shed": 0}
         assert entry["canary"] is None
-        # Legacy flat aliases, kept for one release: engine is still the
-        # engine *name* and the scheduler counters stay at the top level.
-        assert entry["engine"] == "batched"
-        assert entry["requests"] >= 1
-        assert entry["samples"] >= 2
-        assert entry["queue_depth"] == 0
-        # restarts now means *model reloads* at the top level (the pool
-        # engine's worker respawns live under scheduler.restarts).
-        assert entry["restarts"] == 0
+        assert entry["scheduler"]["requests"] >= 1
+        assert entry["scheduler"]["samples"] >= 2
+        assert entry["scheduler"]["queue_depth"] == 0
+        assert entry["bundle"]["reloads"] == 0
+
+    def test_model_entry_has_exactly_the_v2_sections(self, live_server):
+        """No flat engine counters beside the sections: a top-level
+        ``restarts`` would shadow the pool's worker respawns with reloads."""
+        base, _, _ = live_server
+        entry = _post_json(f"{base}/v1/stats", method="GET")["models"]["main"]
+        assert set(entry) == {"scheduler", "plan_cache", "latency",
+                              "admission", "bundle", "requests_routed",
+                              "canary"}
 
     def test_per_model_stats_endpoint_matches_models_entry(self, live_server):
         base, _, _ = live_server
@@ -604,23 +618,23 @@ class TestStatsSchemaV2:
         assert engine.stats()["queue_depth"] == 0
 
 
-class TestDeprecationShims:
-    def test_legacy_routes_emit_deprecation_headers(self, live_server):
+class TestRemovedLegacyRoutes:
+    def test_legacy_routes_are_gone(self, live_server):
+        """``/healthz``, ``GET /`` and ``POST /predict`` answer 404 with an
+        endpoint list that no longer names them; nothing is deprecated."""
         base, _, _ = live_server
-        with urllib.request.urlopen(f"{base}/healthz", timeout=30) as response:
-            assert response.headers["Deprecation"] == "true"
-            assert "/v1/models" in response.headers["Link"]
-            assert "successor-version" in response.headers["Link"]
-        request = urllib.request.Request(
-            f"{base}/predict",
-            data=json.dumps({"inputs": _inputs(1).tolist()}).encode(),
-            headers={"Content-Type": "application/json"})
-        with urllib.request.urlopen(request, timeout=30) as response:
-            assert response.headers["Deprecation"] == "true"
-            assert "/v1/models/main/predict" in response.headers["Link"]
-
-    def test_v1_routes_are_not_deprecated(self, live_server):
-        base, _, _ = live_server
+        for method, path in (("GET", "/healthz"), ("GET", "/"),
+                             ("POST", "/predict")):
+            payload = {"inputs": _inputs(1).tolist()} \
+                if method == "POST" else None
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post_json(f"{base}{path}", payload, method=method)
+            assert excinfo.value.code == 404, path
+            assert excinfo.value.headers["Deprecation"] is None
+            endpoints = json.load(excinfo.value)["error"].split("endpoints:")[1]
+            assert "/healthz" not in endpoints
+            assert "POST /predict" not in endpoints
+            assert "POST /v1/models/<name>/predict" in endpoints
         with urllib.request.urlopen(f"{base}/v1/models", timeout=30) as response:
             assert response.headers["Deprecation"] is None
 

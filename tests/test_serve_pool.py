@@ -19,6 +19,7 @@ from repro.serve import (
     EngineClosed,
     EngineError,
     InferenceSession,
+    ManagedModel,
     ProcessPoolEngine,
     make_engine,
     make_server,
@@ -147,6 +148,21 @@ class TestWorkerDeath:
         live = {worker.process.pid for worker in pool._workers if worker.alive}
         assert live and live.isdisjoint(victims)
 
+    def test_model_stats_count_a_respawn_as_a_restart_not_a_reload(
+            self, bundle_path):
+        model = ManagedModel(repro.load(bundle_path, engine="pool", workers=1,
+                                        max_batch=8, warm=False),
+                             source=str(bundle_path))
+        try:
+            victim = model.engine._workers[0].process.pid
+            os.kill(victim, signal.SIGKILL)
+            assert model.predict(_inputs(2), timeout=60).shape == (2,)
+            stats = model.stats()
+            assert stats["scheduler"]["restarts"] == 1
+            assert stats["bundle"]["reloads"] == 0
+        finally:
+            model.close()
+
     def test_unrespawnable_worker_fails_futures_with_engine_error(self, tmp_path):
         bundle = save_bundle(tmp_path / "doomed.npz", _tiny_model(), info=INFO)
         engine = ProcessPoolEngine(InferenceSession(bundle, max_batch=8),
@@ -247,9 +263,9 @@ class TestPoolWiring:
                 == direct.predict(inputs).tolist()
             stats = json.load(urllib.request.urlopen(
                 f"http://{host}:{port}/v1/stats", timeout=60))["models"]["pooled"]
-            assert stats["engine"] == "pool"
-            assert stats["restarts"] == 0
-            assert stats["requests"] >= 1
+            assert stats["scheduler"]["engine"] == "pool"
+            assert stats["scheduler"]["restarts"] == 0
+            assert stats["scheduler"]["requests"] >= 1
         finally:
             server.shutdown()
             thread.join(10)
