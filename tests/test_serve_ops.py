@@ -618,7 +618,10 @@ class TestStatsSchemaV2:
         assert engine.stats()["queue_depth"] == 0
 
 
-class TestRemovedLegacyRoutes:
+class TestDeprecationShims:
+    """The legacy routes that carried a ``Deprecation`` header are removed;
+    the v1 routes never carried one."""
+
     def test_legacy_routes_are_gone(self, live_server):
         """``/healthz``, ``GET /`` and ``POST /predict`` answer 404 with an
         endpoint list that no longer names them; nothing is deprecated."""
@@ -635,6 +638,9 @@ class TestRemovedLegacyRoutes:
             assert "/healthz" not in endpoints
             assert "POST /predict" not in endpoints
             assert "POST /v1/models/<name>/predict" in endpoints
+
+    def test_v1_routes_are_not_deprecated(self, live_server):
+        base, _, _ = live_server
         with urllib.request.urlopen(f"{base}/v1/models", timeout=30) as response:
             assert response.headers["Deprecation"] is None
 
