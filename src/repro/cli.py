@@ -96,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--scale", default="bench",
                             help="scale preset: smoke, bench or paper (default: bench)")
     add_jobs(run_parser)
-    run_parser.add_argument("--resume", dest="resume", action="store_true", default=True,
-                            help="reuse cached artifacts so an interrupted sweep "
-                                 "continues where it left off (default)")
-    run_parser.add_argument("--no-resume", dest="resume", action="store_false",
-                            help="ignore cached artifacts for this invocation")
     run_parser.add_argument("--force", action="store_true",
                             help="recompute and overwrite cached artifacts")
     run_parser.add_argument("--quiet", action="store_true",
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="scale preset to time at (default: smoke; "
                                    "timing is always sequential so the "
                                    "trajectory is contention-free)")
-    bench_parser.add_argument("--output", "--json", dest="output",
+    bench_parser.add_argument("--output",
                               default="BENCH_autograd.json",
                               help="summary JSON path (default: BENCH_autograd.json)")
     bench_parser.add_argument("--rounds", type=int, default=30,
@@ -267,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = commands.add_parser(
         "serve", help="serve one or more model bundles over HTTP")
     serve_parser.add_argument("bundle", nargs="?", default=None,
-                              help="path to a bundle .npz, mounted as model "
-                                   "'default' (or use --model)")
+                              help="path to a bundle .npz, mounted first as "
+                                   "model 'default' (the same as --model "
+                                   "default=BUNDLE)")
     serve_parser.add_argument("--model", action="append", default=[],
                               metavar="NAME=BUNDLE", dest="models",
                               help="mount BUNDLE under /v1/models/NAME "
@@ -439,7 +435,7 @@ def _command_run(args) -> int:
     cache_dir = _cache_dir(args)
     reporter = SweepReporter(total=len(names))
     outcomes = run_many(names, scale=scale, cache_dir=cache_dir, force=args.force,
-                        use_cache=args.resume, jobs=args.jobs,
+                        jobs=args.jobs,
                         progress=reporter.on_outcome, on_event=reporter.on_event)
     if not args.quiet:
         for outcome in outcomes:
@@ -801,40 +797,33 @@ def _command_reload(args) -> int:
 def _command_serve(args) -> int:
     from .serve.http import serve
 
-    models: dict[str, object] = _parse_model_specs(args.models)
-    if args.bundle is None and not models:
+    positional = [f"default={args.bundle}"] if args.bundle is not None else []
+    models: dict[str, object] = _parse_model_specs(positional + args.models)
+    if not models:
         print("error: name a bundle to serve, or mount one with "
               "--model NAME=BUNDLE", file=sys.stderr)
         return 2
-    # Per-model engine/worker overrides turn the plain path specs into dict
-    # specs ({"path": ..., "engine": ..., "workers": ...}); an override
-    # naming 'default' applies to the positional bundle.
-    engine_overrides = _parse_model_specs(args.model_engines, "--model-engine",
-                                          "ENGINE")
-    worker_overrides = {name: int(count) for name, count in
-                        _parse_model_specs(args.model_workers, "--model-workers",
-                                           "N").items()}
-    bundle = args.bundle
-    default_model = args.default_model
-    for name in {*engine_overrides, *worker_overrides}:
-        if name == "default" and bundle is not None and name not in models:
-            models[name], bundle = {"path": bundle}, None
-            if default_model is None:  # keep the positional bundle default
-                default_model = "default"
-        if name not in models:
-            raise ValueError(f"engine/worker override names unmounted model "
-                             f"{name!r}; mount it with --model first")
-        if not isinstance(models[name], dict):
-            models[name] = {"path": models[name]}
-        if name in engine_overrides:
-            models[name]["engine"] = engine_overrides[name]
-        if name in worker_overrides:
-            models[name]["workers"] = worker_overrides[name]
-    serve(bundle, host=args.host, port=args.port,
-          max_batch=args.max_batch, quiet=args.quiet, models=models,
+    # Per-model overrides turn a model's path into a spec dict
+    # ({"path": ..., "engine": ..., "workers": ...}).
+    overrides = {
+        "engine": _parse_model_specs(args.model_engines, "--model-engine",
+                                     "ENGINE"),
+        "workers": {name: int(count) for name, count in _parse_model_specs(
+            args.model_workers, "--model-workers", "N").items()},
+    }
+    for key, values in overrides.items():
+        for name, value in values.items():
+            if name not in models:
+                raise ValueError(f"engine/worker override names unmounted "
+                                 f"model {name!r}; mount it with --model first")
+            if not isinstance(models[name], dict):
+                models[name] = {"path": models[name]}
+            models[name][key] = value
+    serve(models, host=args.host, port=args.port,
+          max_batch=args.max_batch, quiet=args.quiet,
           engine=args.engine, max_wait_ms=args.max_wait_ms,
           queue_size=args.queue_size, request_timeout=args.request_timeout,
-          default_model=default_model, compile=not args.no_compile,
+          default_model=args.default_model, compile=not args.no_compile,
           workers=args.workers, max_inflight=args.max_inflight,
           admin=not args.no_admin)
     return 0

@@ -177,10 +177,10 @@ def _read_artifact(path: Path) -> dict | None:
 
 def run_experiment(name: str, scale: str | ExperimentScale = "bench",
                    cache_dir: str | Path | None = None,
-                   force: bool = False, use_cache: bool = True) -> ExperimentOutcome:
+                   force: bool = False) -> ExperimentOutcome:
     """Run one registered experiment, reusing its cached artifact when possible.
 
-    ``force`` (or ``use_cache=False``) bypasses the cache check; the fresh
+    ``force`` bypasses the cache check; the fresh
     artifact still overwrites the cache entry so later runs benefit.
 
     Concurrent-safe: the cache-check → train → write sequence runs under a
@@ -195,7 +195,7 @@ def run_experiment(name: str, scale: str | ExperimentScale = "bench",
     path = artifact_path(cache_dir, spec, scale, digest)
 
     def cached_outcome() -> ExperimentOutcome | None:
-        if not (use_cache and not force and path.exists()):
+        if force or not path.exists():
             return None
         artifact = _read_artifact(path)
         if artifact is None:
@@ -249,7 +249,7 @@ def run_experiment(name: str, scale: str | ExperimentScale = "bench",
 
 
 def run_experiment_task(name: str, scale, cache_dir: str,
-                        force: bool = False, use_cache: bool = True) -> dict:
+                        force: bool = False) -> dict:
     """Worker entry point for one experiment of a parallel sweep.
 
     Receives only primitives (the scale as a :func:`scale_to_payload` dict)
@@ -258,7 +258,7 @@ def run_experiment_task(name: str, scale, cache_dir: str,
     rather than shipping it through the pickle channel.
     """
     outcome = run_experiment(name, scale=scale_from_payload(scale),
-                             cache_dir=cache_dir, force=force, use_cache=use_cache)
+                             cache_dir=cache_dir, force=force)
     return {"name": outcome.name, "scale": outcome.scale,
             "config_hash": outcome.config_hash, "path": str(outcome.path),
             "cache_hit": outcome.cache_hit,
@@ -288,7 +288,7 @@ def _jobs_environment(jobs: int):
 
 def run_many(names: list[str], scale: str | ExperimentScale = "bench",
              cache_dir: str | Path | None = None, force: bool = False,
-             use_cache: bool = True, jobs: int | str | None = None,
+             jobs: int | str | None = None,
              progress=None, on_event=None) -> list[ExperimentOutcome]:
     """Run several experiments, fanning out over a process pool when ``jobs > 1``.
 
@@ -312,8 +312,7 @@ def run_many(names: list[str], scale: str | ExperimentScale = "bench",
         return Task(key=f"{index:03d}:{name}",
                     fn="repro.experiments.runner:run_experiment_task",
                     kwargs={"name": name, "scale": scale_payload,
-                            "cache_dir": str(cache_dir), "force": force,
-                            "use_cache": use_cache})
+                            "cache_dir": str(cache_dir), "force": force})
 
     def finalize(result, name: str) -> ExperimentOutcome:
         if result.ok:

@@ -36,8 +36,8 @@ from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 
-__all__ = ["ServingEngine", "DirectEngine", "make_engine", "ENGINE_NAMES",
-           "EngineError", "EngineClosed", "QueueFull"]
+__all__ = ["ServingEngine", "DirectEngine", "make_engine", "check_engine_name",
+           "ENGINE_NAMES", "EngineError", "EngineClosed", "QueueFull"]
 
 #: Every engine name :func:`make_engine` accepts — the single source of truth
 #: error messages and CLI validation enumerate.
@@ -182,6 +182,17 @@ class DirectEngine(ServingEngine):
         self._closed = True
 
 
+def check_engine_name(engine, context: str | None = None) -> None:
+    """Raise ``ValueError`` enumerating the valid names unless
+    :func:`make_engine` accepts ``engine``; ``context`` says whose it is."""
+    if engine is None or isinstance(engine, ServingEngine) or engine in ENGINE_NAMES:
+        return
+    valid = ", ".join(repr(name) for name in ENGINE_NAMES)
+    where = f" for {context}" if context else ""
+    raise ValueError(f"unknown serving engine {engine!r}{where}; valid "
+                     f"engines: {valid}, or a ServingEngine instance")
+
+
 def make_engine(engine, session, max_batch: int | None = None,
                 max_wait_ms: float | None = None,
                 queue_size: int | None = None,
@@ -197,24 +208,21 @@ def make_engine(engine, session, max_batch: int | None = None,
     apply to the queued engines and fall back to their defaults when
     ``None``; ``workers``/``seed`` only apply to the pool.
     """
+    check_engine_name(engine)
     if isinstance(engine, ServingEngine):
         return engine
     if engine is None or engine == "direct":
         return DirectEngine(session)
-    if engine in ("batched", "pool"):
-        kwargs = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-                  "queue_size": queue_size}
-        if engine == "pool":
-            from .pool import ProcessPoolEngine
+    kwargs = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
+              "queue_size": queue_size}
+    if engine == "pool":
+        from .pool import ProcessPoolEngine
 
-            kwargs.update(workers=workers, seed=seed)
-            cls = ProcessPoolEngine
-        else:
-            from .batching import BatchedEngine
+        kwargs.update(workers=workers, seed=seed)
+        cls = ProcessPoolEngine
+    else:
+        from .batching import BatchedEngine
 
-            cls = BatchedEngine
-        return cls(session, **{key: value for key, value in kwargs.items()
-                               if value is not None})
-    expected = ", ".join(repr(name) for name in ENGINE_NAMES)
-    raise ValueError(f"unknown serving engine {engine!r}; expected one of "
-                     f"{expected}, or a ServingEngine instance")
+        cls = BatchedEngine
+    return cls(session, **{key: value for key, value in kwargs.items()
+                           if value is not None})

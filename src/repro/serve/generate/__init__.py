@@ -65,18 +65,15 @@ class GenerationPredictor:
     """Serving façade for a generation bundle: engine + vocab + metadata.
 
     Built by :func:`repro.serve.load` when a bundle's section carries
-    ``generation`` metadata (see :func:`generation_bundle_info`).  The
-    constructor accepts — and deliberately ignores — the prediction-stack
-    knobs ``engine``/``workers``/``compile`` so :func:`repro.serve.serve`
-    can pass its shared load options to every mounted model regardless of
-    kind; ``max_batch`` becomes the decode-slot count and
-    ``max_wait_ms``/``queue_size`` configure the engine queue.
+    ``generation`` metadata (see :func:`generation_bundle_info`).
+    ``max_batch`` is the decode-slot count and ``max_wait_ms``/
+    ``queue_size`` configure the engine queue.  The decode state is
+    preallocated by the engine, so there is nothing to warm.
     """
 
-    def __init__(self, bundle_or_path, max_batch: int = 8, warm: bool = False,
-                 engine=None, max_wait_ms: float | None = None,
-                 queue_size: int | None = None, compile: bool = True,
-                 workers: int | None = None, max_len: int | None = None,
+    def __init__(self, bundle_or_path, max_batch: int = 8,
+                 max_wait_ms: float | None = None,
+                 queue_size: int | None = None, max_len: int | None = None,
                  seed: int = 0):
         bundle = bundle_or_path if isinstance(bundle_or_path, Bundle) \
             else load_bundle(bundle_or_path)
@@ -100,8 +97,6 @@ class GenerationPredictor:
             max_wait_ms=max_wait_ms if max_wait_ms is not None else 2.0,
             queue_size=queue_size if queue_size is not None else 256,
             seed=seed)
-        # `warm` is accepted for load()-option symmetry: the decode state is
-        # preallocated by the engine, so there is nothing left to warm.
 
     # -- input/output mapping --------------------------------------------------
 
@@ -171,9 +166,6 @@ class GenerationPredictor:
     @property
     def input_shape(self):
         return None
-
-    def warm(self, *args, **kwargs) -> None:
-        """No-op: the decode state is preallocated at construction."""
 
     def describe(self) -> dict:
         spec = self.bundle.spec

@@ -36,13 +36,14 @@ Versioned API
 Admin API (the control plane; disable with ``serve(admin=False)``)
 ------------------------------------------------------------------
 ``POST /v1/admin/models/<name>/reload``
-    Body ``{"bundle": <path, optional>, "options": <dict, optional>}`` —
-    hot-swap the model's bundle with zero dropped requests (omit ``bundle``
-    to re-load the currently mounted path).
+    Body ``{"bundle": <path, optional>}`` — hot-swap the model's bundle
+    with zero dropped requests (omit ``bundle`` to re-load the currently
+    mounted path).  Reloads and canaries load through the options the
+    model was mounted with.
 ``POST /v1/admin/models/<name>/canary``
     Body ``{"bundle": <path>, "percent": <float, default 10>,
-    "shadow": <bool, default false>, "options": <dict, optional>}`` — stage
-    a candidate: route ``percent``% of traffic to it, or mirror (shadow).
+    "shadow": <bool, default false>}`` — stage a candidate: route
+    ``percent``% of traffic to it, or mirror (shadow).
 ``POST /v1/admin/models/<name>/promote``
     Swap the staged canary in as the primary (drains the old primary).
 ``DELETE /v1/admin/models/<name>/canary``
@@ -50,8 +51,9 @@ Admin API (the control plane; disable with ``serve(admin=False)``)
 
 Optional fields left out or sent as ``null`` take their defaults.  Status
 mapping: malformed payloads (including a field that does not cast to its
-type) → 400, unknown paths/models → 404, admin API disabled → 403, full
-request queue *or a model past its admission cap* → 429 (backpressure),
+type, or an admin body field the operation does not take) → 400, unknown
+paths/models → 404, admin API disabled → 403, full request queue *or a
+model past its admission cap* → 429 (backpressure),
 engine shut down → 503, request timeout → 504, anything unexpected → 500.
 SIGINT/SIGTERM drain gracefully: the server stops accepting, engines fail
 queued futures with a clear error, and in-flight responses flush before
@@ -69,7 +71,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
-from .engine import ENGINE_NAMES, EngineClosed, QueueFull, ServingEngine
+from .engine import EngineClosed, QueueFull, check_engine_name
 from .router import ModelRouter
 
 __all__ = ["make_server", "serve", "PredictionHandler", "PredictionServer"]
@@ -96,6 +98,11 @@ _VERBS = {
 
 #: Optional fields of ``POST /v1/admin/models/<name>/canary``.
 _CANARY_FIELDS = (("percent", float), ("shadow", bool))
+
+#: ``POST /v1/admin/models/<name>/<verb>``: the body fields each verb takes
+#: (``DELETE .../canary`` takes none); any other field is a 400.
+_ADMIN_FIELDS = {"reload": ("bundle",), "canary": ("bundle", "percent", "shadow"),
+                 "promote": ()}
 
 
 def _cast_fields(request: dict, fields) -> dict:
@@ -283,7 +290,7 @@ class PredictionHandler(BaseHTTPRequestHandler):
             self._not_found()
             return
         name, _, verb = unquote(path[len(prefix):]).rpartition("/")
-        verbs = {"POST": ("reload", "canary", "promote"), "DELETE": ("canary",)}
+        verbs = {"POST": tuple(_ADMIN_FIELDS), "DELETE": ("canary",)}
         if not name or verb not in verbs.get(method, ()):
             self._not_found(
                 f"unknown admin operation {method} {path!r}; valid: "
@@ -299,6 +306,11 @@ class PredictionHandler(BaseHTTPRequestHandler):
             request = json.loads(body.decode("utf-8")) if body else {}
             if not isinstance(request, dict):
                 raise ValueError("admin request body must be a JSON object")
+            allowed = _ADMIN_FIELDS[verb] if method == "POST" else ()
+            unknown = sorted(set(request) - set(allowed))
+            if unknown:
+                raise ValueError(f"{method} {path} does not take the field(s) "
+                                 f"{unknown}; valid: {list(allowed)}")
             canary = _cast_fields(request, _CANARY_FIELDS) \
                 if verb == "canary" else {}
         except (ValueError, TypeError) as error:  # incl. JSON/Unicode decode errors
@@ -309,15 +321,12 @@ class PredictionHandler(BaseHTTPRequestHandler):
             if method == "DELETE":
                 result = model.clear_canary()
             elif verb == "reload":
-                result = model.reload(bundle=request.get("bundle"),
-                                      options=request.get("options"))
+                result = model.reload(bundle=request.get("bundle"))
             elif verb == "canary":
                 if "bundle" not in request:
                     raise ValueError('staging a canary requires a "bundle" '
                                      'key (the candidate bundle path)')
-                result = model.set_canary(request["bundle"],
-                                          options=request.get("options"),
-                                          **canary)
+                result = model.set_canary(request["bundle"], **canary)
             else:  # promote
                 result = model.promote()
         except (ValueError, KeyError, FileNotFoundError, OSError) as error:
@@ -393,94 +402,79 @@ def _install_signal_handlers(server: PredictionServer):
     return restore
 
 
-def _check_engine_name(value, context: str) -> None:
-    """Fail fast on a typoed engine name, enumerating the valid choices."""
-    if value is None or isinstance(value, ServingEngine) or value in ENGINE_NAMES:
-        return
-    valid = ", ".join(repr(name) for name in ENGINE_NAMES)
-    raise ValueError(f"unknown serving engine {value!r} for {context}; "
-                     f"valid engines: {valid}")
-
-
-def serve(bundle_path=None, host: str = "127.0.0.1", port: int = 8000,
-          max_batch: int = 64, quiet: bool = False, models: dict | None = None,
-          engine: str = "batched", max_wait_ms: float = 2.0,
-          queue_size: int = 256, request_timeout: float | None = 30.0,
+def serve(models: dict, host: str = "127.0.0.1", port: int = 8000,
+          max_batch: int = 64, quiet: bool = False, engine: str = "batched",
+          max_wait_ms: float = 2.0, queue_size: int = 256,
+          request_timeout: float | None = 30.0,
           default_model: str | None = None, ready=None,
           compile: bool = True, workers: int = 2,
           max_inflight: int | None = None, admin: bool = True) -> None:
     """Load bundles and serve them until interrupted (the CLI entry point).
 
-    ``bundle_path`` (legacy single-model form) is mounted as ``default``;
-    ``models`` maps additional names to bundle paths — or to dict specs
-    (``{"path": ..., "engine": ..., "workers": ..., "max_batch": ...,
-    "max_wait_ms": ..., "queue_size": ..., "max_inflight": ...}``)
-    overriding the shared knobs per model, which is how one server mounts,
-    say, a hot model on its own 4-worker pool next to a long-tail model on a
-    direct engine.  Each model gets its own session and serving engine
-    (``engine="batched"`` by default; ``"direct"`` for inline
-    lock-and-forward; ``"pool"`` for the multi-process pool with ``workers``
-    processes per model).  ``compile=True`` (default) turns on
-    trace-and-replay compilation per session; loading warms each model,
-    which traces and compiles its steady-state plan before the first
-    request.  ``max_inflight`` caps concurrent requests *per model*
-    (admission control: a saturated model sheds with 429 while the others
-    keep serving); ``admin=False`` disables the ``/v1/admin`` control-plane
-    routes.  SIGINT/SIGTERM shut down gracefully: the queue drains, queued
-    futures fail with a clear error instead of hanging their clients, then
-    the process exits.  ``ready``, if given, is called with the bound server
-    before the serve loop starts (embedding/test hook).
+    ``models`` maps each model name to a bundle path, or to a spec
+    ``{"path": ..., "engine": ..., "workers": ...}`` whose ``engine`` and
+    ``workers`` override the shared ones for that model — which is how one
+    server mounts, say, a hot model on its own 4-worker pool next to a
+    long-tail model on the batched engine.  Every model is one
+    :func:`repro.serve.load` call with the shared ``max_batch``,
+    ``max_wait_ms``, ``queue_size`` and ``compile``, so each gets its own
+    session and serving engine (``engine="batched"`` by default;
+    ``"direct"`` for inline lock-and-forward; ``"pool"`` for the
+    multi-process pool with ``workers`` processes per model).  Loading warms
+    each model, which with ``compile=True`` traces and compiles its
+    steady-state plan before the first request.  The first model is the
+    default unless ``default_model`` names another.  ``max_inflight`` caps
+    concurrent requests *per model* (admission control: a saturated model
+    sheds with 429 while the others keep serving); ``admin=False`` disables
+    the ``/v1/admin`` control-plane routes.  Bad specs, engine names and
+    ``default_model`` fail before anything loads; a failure while loading
+    closes the models already mounted.  SIGINT/SIGTERM shut down
+    gracefully: the queue drains, queued futures fail with a clear error
+    instead of hanging their clients, then the process exits.  ``ready``, if
+    given, is called with the bound server before the serve loop starts
+    (embedding/test hook).
     """
     from . import load
 
-    specs: dict[str, object] = {}
-    if bundle_path is not None:
-        specs["default"] = bundle_path
-    for name, spec in (models or {}).items():
-        if name in specs:
-            raise ValueError(
-                f"model name {name!r} collides with the positional bundle "
-                f"(mounted as 'default'); pick another --model name or drop "
-                f"the positional argument")
+    if not models:
+        raise ValueError("serve needs at least one name=bundle model mapping")
+    check_engine_name(engine, "--engine")
+    specs = {}
+    for name, spec in models.items():
+        spec = dict(spec) if isinstance(spec, dict) else {"path": spec}
+        if "path" not in spec:
+            raise ValueError(f"model spec for {name!r} needs a 'path' key")
+        unknown = set(spec) - {"path", "engine", "workers"}
+        if unknown:
+            raise ValueError(f"model spec for {name!r} has unknown option(s) "
+                             f"{sorted(unknown)}; valid: ['engine', 'path', "
+                             f"'workers']")
+        check_engine_name(spec.setdefault("engine", engine), f"model {name!r}")
         specs[name] = spec
-    if not specs:
-        raise ValueError("serve needs a bundle path or at least one "
-                         "name=bundle model mapping")
-    _check_engine_name(engine, "--engine")
-    shared = {"max_batch": max_batch, "engine": engine, "workers": workers,
-              "max_wait_ms": max_wait_ms, "queue_size": queue_size,
-              "compile": compile}
-    router = ModelRouter()
-    engines = set()
-    for name, spec in specs.items():
-        options = dict(shared)
-        model_max_inflight = max_inflight
-        if isinstance(spec, dict):
-            path = spec.get("path")
-            if path is None:
-                raise ValueError(f"model spec for {name!r} needs a 'path' key")
-            unknown = set(spec) - {"path", "max_inflight", *shared}
-            if unknown:
-                raise ValueError(f"model spec for {name!r} has unknown "
-                                 f"option(s) {sorted(unknown)}; valid: "
-                                 f"{sorted([*shared, 'max_inflight'])}")
-            options.update({key: value for key, value in spec.items()
-                            if key not in ("path", "max_inflight")})
-            model_max_inflight = spec.get("max_inflight", max_inflight)
-        else:
-            path = spec
-        _check_engine_name(options["engine"], f"model {name!r}")
-        engines.add(options["engine"])
-        router.add(name, load(path, **options), source=str(path),
-                   load_options=options, max_inflight=model_max_inflight)
-    if default_model is not None:
-        router.set_default(default_model)
+    if default_model is not None and default_model not in specs:
+        raise KeyError(f"unknown model {default_model!r}; available models: "
+                       f"{', '.join(sorted(specs))}")
 
-    server = make_server(router, host=host, port=port, quiet=quiet,
-                         request_timeout=request_timeout, admin=admin)
+    router = ModelRouter()
+    try:
+        for name, spec in specs.items():
+            options = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
+                       "queue_size": queue_size, "compile": compile,
+                       "workers": workers, **spec}
+            path = options.pop("path")
+            router.add(name, load(path, **options), source=str(path),
+                       load_options=options, max_inflight=max_inflight)
+        if default_model is not None:
+            router.set_default(default_model)
+        server = make_server(router, host=host, port=port, quiet=quiet,
+                             request_timeout=request_timeout, admin=admin)
+    except BaseException:
+        router.close()
+        raise
     restore_signals = _install_signal_handlers(server)
     bound_host, bound_port = server.server_address[:2]
-    engine_label = "/".join(sorted(str(e) for e in engines))
+    engine_label = "/".join(sorted({str(spec["engine"])
+                                    for spec in specs.values()}))
     print(f"serving {len(router)} model(s) [{', '.join(router.names())}; "
           f"default: {router.default_name}] with the {engine_label} engine on "
           f"http://{bound_host}:{bound_port}")

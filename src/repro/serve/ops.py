@@ -103,7 +103,7 @@ class ManagedModel:
         Keyword arguments for :func:`repro.serve.load` that reloads and
         canaries inherit (``engine``, ``max_batch``, ``workers``, ...), so a
         swapped-in bundle serves through the same engine configuration as
-        the mount it replaces unless overridden per call.
+        the mount it replaces.
     max_inflight:
         Admission cap: with more than this many requests in flight on the
         model (primary + canary together), new arrivals shed with
@@ -325,13 +325,11 @@ class ManagedModel:
 
     # -- control plane ---------------------------------------------------------
 
-    def _build(self, bundle: str, overrides: dict | None):
+    def _build(self, bundle: str):
         """Load + warm a predictor off-path with the mount's inherited options."""
         from . import load
 
-        options = {**self.load_options, **(overrides or {})}
-        options.setdefault("warm", True)
-        return load(bundle, **options), options
+        return load(bundle, **{"warm": True, **self.load_options})
 
     def _swap_primary(self, new_mount: _Mount) -> _Mount:
         with self._lock:
@@ -362,8 +360,7 @@ class ManagedModel:
         if self._closed:
             raise EngineClosed(f"model is closed; cannot {operation}")
 
-    def reload(self, bundle: str | None = None,
-               options: dict | None = None) -> dict:
+    def reload(self, bundle: str | None = None) -> dict:
         """Hot-swap the primary to ``bundle`` (default: re-load the current one).
 
         Builds and warms the replacement while the incumbent keeps serving,
@@ -378,17 +375,14 @@ class ManagedModel:
                 raise ValueError(
                     "this model was not loaded from a bundle, so there is no "
                     "path to reload; pass a bundle path explicitly")
-            predictor, used_options = self._build(source, options)
-            old = self._swap_primary(_Mount(predictor, source))
-            self.load_options = {key: value for key, value
-                                 in used_options.items() if key != "warm"}
+            old = self._swap_primary(_Mount(self._build(source), source))
             drained = self._retire(old)
             return {"status": "reloaded", "bundle": source,
                     "previous_bundle": old.source, "reloads": self.reloads,
                     "drained": drained}
 
     def set_canary(self, bundle: str, percent: float = 10.0,
-                   shadow: bool = False, options: dict | None = None) -> dict:
+                   shadow: bool = False) -> dict:
         """Stage ``bundle`` as the candidate: split traffic or mirror it.
 
         ``percent`` of requests route to the candidate (and are answered by
@@ -403,7 +397,7 @@ class ManagedModel:
                              f"mirror-only candidate)")
         with self._ops_lock:
             self._require_open("stage a canary")
-            predictor, _ = self._build(str(bundle), options)
+            predictor = self._build(str(bundle))
             with self._lock:
                 old_canary, self._canary = self._canary, \
                     _Mount(predictor, bundle)

@@ -114,19 +114,17 @@ class ModelRouter:
 
     # -- control plane (the admin API's verbs) ---------------------------------
 
-    def reload(self, name: str | None = None, bundle: str | None = None,
-               options: dict | None = None) -> dict:
+    def reload(self, name: str | None = None, bundle: str | None = None) -> dict:
         """Hot-swap one model's bundle; see :meth:`ManagedModel.reload`."""
-        return self.get(name).reload(bundle=bundle, options=options)
+        return self.get(name).reload(bundle=bundle)
 
     def set_canary(self, name: str | None = None, bundle: str | None = None,
-                   percent: float = 10.0, shadow: bool = False,
-                   options: dict | None = None) -> dict:
+                   percent: float = 10.0, shadow: bool = False) -> dict:
         """Stage a candidate bundle on one model (split or shadow traffic)."""
         if bundle is None:
             raise ValueError("set_canary needs a candidate bundle path")
         return self.get(name).set_canary(bundle, percent=percent,
-                                         shadow=shadow, options=options)
+                                         shadow=shadow)
 
     def promote(self, name: str | None = None) -> dict:
         """Swap one model's staged canary in as its primary."""

@@ -704,11 +704,10 @@ class TestServeEntrypoint:
         with pytest.raises(ValueError, match="name=bundle"):
             serve(models={})
 
-    def test_serve_rejects_model_colliding_with_positional_bundle(self):
-        from repro.serve.http import serve
-
-        with pytest.raises(ValueError, match="collides"):
-            serve("a.npz", models={"default": "b.npz"})
+    def test_serve_rejects_model_colliding_with_positional_bundle(self, capsys):
+        # The positional bundle is the model named 'default'.
+        assert cli.main(["serve", "a.npz", "--model", "default=b.npz"]) == 1
+        assert "'default' given twice" in capsys.readouterr().err
 
 
 class TestCLIServeParsing:

@@ -512,6 +512,15 @@ class TestAdminAPI:
         assert (staged["percent"], staged["shadow"]) == (10.0, False)
         _post_json(url, method="DELETE")
 
+    @pytest.mark.parametrize("verb", ["reload", "canary"])
+    @pytest.mark.parametrize("options", [{"turbo": 1}, "x"])
+    def test_per_call_options_are_a_400_naming_the_field(self, live_server,
+                                                         verb, options):
+        base, quad, _ = live_server
+        error = self._expect_error(f"{base}/v1/admin/models/main/{verb}", 400,
+                                   payload={"bundle": quad, "options": options})
+        assert "'options'" in error
+
     def test_admin_disabled_returns_403(self, bundles):
         predictor = Predictor(_tiny_model(), input_shape=(3, 8, 8))
         server = make_server({"default": predictor}, port=0, quiet=True,

@@ -321,8 +321,8 @@ class TestCLIPoolParsing:
 
         captured = {}
 
-        def fake_serve(bundle_path=None, **kwargs):
-            captured.update(kwargs, bundle_path=bundle_path)
+        def fake_serve(models, **kwargs):
+            captured.update(kwargs, models=models)
 
         monkeypatch.setattr(http, "serve", fake_serve)
         return captured
@@ -333,7 +333,7 @@ class TestCLIPoolParsing:
                          "--workers", "3"]) == 0
         assert captured["engine"] == "pool"
         assert captured["workers"] == 3
-        assert captured["bundle_path"] == "model.npz"
+        assert captured["models"] == {"default": "model.npz"}
 
     def test_per_model_engine_and_worker_overrides(self, monkeypatch):
         captured = self._capture_serve(monkeypatch)
@@ -349,10 +349,8 @@ class TestCLIPoolParsing:
         captured = self._capture_serve(monkeypatch)
         assert cli.main(["serve", "model.npz",
                          "--model-engine", "default=pool"]) == 0
-        assert captured["bundle_path"] is None
         assert captured["models"] == {"default": {"path": "model.npz",
                                                   "engine": "pool"}}
-        assert captured["default_model"] == "default"
 
     def test_override_naming_unmounted_model_rejected(self, capsys):
         assert cli.main(["serve", "--model", "a=x.npz",
