@@ -52,7 +52,8 @@ Admin API (the control plane; disable with ``serve(admin=False)``)
 Optional fields left out or sent as ``null`` take their defaults.  Status
 mapping: malformed payloads (including a field that does not cast to its
 type, or an admin body field the operation does not take) → 400, unknown
-paths/models → 404, admin API disabled → 403, full request queue *or a
+paths/models → 404, admin API disabled → 403, a chunked
+(``Transfer-Encoding``) request body → 411, full request queue *or a
 model past its admission cap* → 429 (backpressure),
 engine shut down → 503, request timeout → 504, anything unexpected → 500.
 SIGINT/SIGTERM drain gracefully: the server stops accepting, engines fail
@@ -87,6 +88,10 @@ _ENDPOINTS = ("GET /v1/models, GET /v1/models/<name>, "
               "POST /v1/admin/models/<name>/{reload,canary,promote}, "
               "DELETE /v1/admin/models/<name>/canary")
 
+#: Reply header for a request whose body is left unread: ``send_header``
+#: also sets ``close_connection``, so the bytes cannot poison a next request.
+_CLOSE = {"Connection": "close"}
+
 #: ``POST /v1/models/<name>/<verb>``: the optional request fields each verb
 #: casts, as ``(field, cast)`` pairs, and the response key of its results.
 _VERBS = {
@@ -117,6 +122,10 @@ class PredictionHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/2.1"
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted socket: headers and body leave in
+    #: two writes, and with Nagle on the body waited ~40 ms for the client's
+    #: delayed ACK on every keep-alive response.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -153,18 +162,26 @@ class PredictionHandler(BaseHTTPRequestHandler):
 
         Replying while unread body bytes sit on a keep-alive connection would
         make the next request parse as garbage, so every body is drained up
-        front.  Oversized/undeclared bodies are the one case we refuse to
-        drain — close the connection instead.
+        front.  A bad or oversized ``Content-Length`` and a chunked body
+        (this server does not decode ``Transfer-Encoding``) are the cases we
+        refuse to drain — close the connection instead.
         """
+        if "Transfer-Encoding" in self.headers:
+            self._send_json(411, {"error": "Transfer-Encoding "
+                                           f"{self.headers['Transfer-Encoding']!r} "
+                                           "is not supported; send the body "
+                                           "with a Content-Length header"},
+                            _CLOSE)
+            return None
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
             length = -1
         if length < 0 or length > MAX_REQUEST_BYTES:
-            self.close_connection = True
             self._send_json(400, {"error": f"Content-Length {self.headers.get('Content-Length')!r} "
                                            f"is invalid or exceeds the "
-                                           f"{MAX_REQUEST_BYTES}-byte limit"})
+                                           f"{MAX_REQUEST_BYTES}-byte limit"},
+                            _CLOSE)
             return None
         return self.rfile.read(length) if length else b""
 

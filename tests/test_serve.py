@@ -1,6 +1,7 @@
 """Serving stack: inference sessions, the pipeline, the HTTP server, CLI verbs."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -13,6 +14,7 @@ from repro import cli
 from repro.io import save_bundle
 from repro.models import SimpleCNN
 from repro.serve import InferenceSession, Predictor, make_server, softmax, top_k
+from repro.serve.http import PredictionHandler
 from repro.tensor import Tensor, graph_nodes_created
 
 
@@ -289,6 +291,46 @@ class TestHTTP:
                 predictor.predict(inputs).tolist()[0]
         finally:
             connection.close()
+
+    def test_chunked_body_gets_411_and_closes_the_connection(self, http_server):
+        """A chunked body is not decoded; replying without draining it would
+        leave chunk bytes to corrupt the next request, so the server refuses
+        it with 411 and closes the connection."""
+        import http.client
+
+        base, _ = http_server
+        host, port = base.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            # An iterator body makes http.client send Transfer-Encoding: chunked.
+            connection.request("POST", "/v1/models/default/predict",
+                               body=iter([b'{"inputs": ', b"[]}"]))
+            response = connection.getresponse()
+            assert response.status == 411
+            assert "Transfer-Encoding" in json.loads(response.read())["error"]
+            assert response.will_close
+        finally:
+            connection.close()
+        with urllib.request.urlopen(f"{base}/v1/models", timeout=30) as response:
+            assert response.status == 200
+            assert json.load(response)["default"] == "default"
+
+    def test_accepted_sockets_disable_nagle(self, http_server, monkeypatch):
+        """Headers and body leave in two writes; with Nagle on, the body
+        waits for the client's delayed ACK on every keep-alive response."""
+        nodelay = []
+        setup = PredictionHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(PredictionHandler, "setup", recording_setup)
+        base, _ = http_server
+        with urllib.request.urlopen(f"{base}/v1/models", timeout=30) as response:
+            assert response.status == 200
+        assert len(nodelay) == 1 and nodelay[0] != 0
 
 
 class TestCLI:
