@@ -10,8 +10,11 @@
 * :mod:`repro.io.serialization`  — lossy-but-safe conversion of arbitrary
   experiment results into JSON-serializable structures (used by the artifact
   cache and by :class:`repro.training.History`).
+* :mod:`repro.io.atomic`         — :func:`atomic_publish`, the one
+  temp-write → fsync → rename path every published file goes through.
 """
 
+from .atomic import atomic_publish
 from .bundle import (
     BUNDLE_FORMAT_VERSION,
     Bundle,
@@ -24,6 +27,7 @@ from .checkpoint import CHECKPOINT_VERSION, Checkpoint, load_checkpoint, save_ch
 from .serialization import atomic_write_json, to_jsonable
 
 __all__ = [
+    "atomic_publish",
     "atomic_write_json",
     "BUNDLE_FORMAT_VERSION",
     "Bundle",

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import io
 import json
-import os
-import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_publish
 
 __all__ = ["CHECKPOINT_VERSION", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
@@ -147,25 +147,11 @@ def save_checkpoint(path, *, model=None, optimizer=None, scheduler=None,
     payload = {f"array_{index}": array for index, array in enumerate(arrays)}
     payload[_META_KEY] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
 
+    # Concurrent savers (e.g. two workers sharing a checkpoint_dir) never
+    # interleave into one temp file, and a crash never publishes a torn .npz.
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Unique temp name + fsync + rename: concurrent savers (e.g. two workers
-    # sharing a checkpoint_dir) can never interleave into one temp file, and
-    # a crash can never publish a torn .npz at the final path.
-    descriptor, temp_name = tempfile.mkstemp(dir=path.parent,
-                                             prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "wb") as stream:
-            _write_npz(stream, payload)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_publish(path) as stream:
+        _write_npz(stream, payload)
     return path
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_publish
 
 __all__ = ["to_jsonable", "atomic_write_json"]
 
@@ -61,22 +61,9 @@ def atomic_write_json(path: str | Path, payload, indent: int = 2) -> Path:
     one, but never a torn, half-written JSON document.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            json.dump(payload, handle, indent=indent)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_publish(path, "w") as handle:
+        json.dump(payload, handle, indent=indent)
+        handle.write("\n")
     return path
 
 

@@ -23,7 +23,11 @@ The queue/coalesce machinery lives in :class:`QueuedEngine` so other
 engines can reuse the *same batching policy* with a different execution
 backend — :class:`~repro.serve.pool.ProcessPoolEngine` plugs a worker-process
 pool behind the identical scheduler, which is how dynamic batching and
-multiprocessing compose instead of competing.
+multiprocessing compose instead of competing.  The same base also carries
+the continuous-batching
+:class:`~repro.serve.generate.GenerationEngine`, which keeps the queue and
+lifecycle but replaces the coalescing loop with its admit → decode-step →
+retire loop.
 
 Numerical note: a fused batch is chunked by the session at ``max_batch``
 rows, so when every request carries exactly ``max_batch`` rows the fused
@@ -32,10 +36,11 @@ coincide with request boundaries).  Mixed request sizes shift BLAS blocking
 and may differ from per-request execution in float low bits — same caveat as
 the session's own micro-batching, and classifications are unaffected.
 
-``close()`` is the graceful-shutdown path: it stops new submissions, lets
-the scheduler finish the batch in flight, then fails every still-queued
-future with :class:`~repro.serve.engine.EngineClosed` so blocked clients get
-a clear error instead of a hang.
+``close()`` is the graceful-shutdown path, and it means the same thing on
+every queued engine: it stops new submissions, lets the work in flight
+finish, then fails every still-queued future with
+:class:`~repro.serve.engine.EngineClosed` so blocked clients get a clear
+error instead of a hang.
 """
 
 from __future__ import annotations
@@ -113,6 +118,13 @@ class QueuedEngine(ServingEngine):
       worker process and immediately goes back to coalescing the next batch,
       so batches run concurrently across workers.
 
+    An engine whose work is not one-shot overrides :meth:`_drain_loop`
+    instead (:class:`~repro.serve.generate.GenerationEngine` admits queued
+    sequences into decode slots between steps); it must stop taking work
+    from the queue once the closed flag is up and return when its in-flight
+    work is done.  Subclasses validate their own ``submit`` arguments and
+    hand the request to :meth:`_enqueue`.
+
     Subclasses may also hook :meth:`_shutdown_backend` (called by ``close``
     after the scheduler has stopped and the queue has drained) to release
     backend resources such as worker processes.
@@ -173,8 +185,8 @@ class QueuedEngine(ServingEngine):
             already_closed = self._closed
             self._closed = True
         if not already_closed and self._started:
-            try:  # wake the scheduler; a jammed queue drains below regardless
-                self._queue.put(_SHUTDOWN, timeout=timeout)
+            try:  # wake an idle scheduler; a full queue wakes it anyway
+                self._queue.put_nowait(_SHUTDOWN)
             except queue.Full:
                 pass
         if self._started:
@@ -193,9 +205,17 @@ class QueuedEngine(ServingEngine):
             raise ValueError(
                 f"submit expects a batched array (leading batch dimension), "
                 f"got shape {tuple(inputs.shape)}")
+        return self._enqueue(_Request(inputs))
+
+    def _enqueue(self, request) -> Future:
+        """Queue a validated request and return its future.
+
+        The one enqueue step every queued engine shares: refuse after
+        ``close``, raise :class:`QueueFull` on a full queue, count the
+        request, and fail it loudly if ``close`` raced the enqueue.
+        """
         if self._closed:
             raise EngineClosed(f"{self.name} engine is closed")
-        request = _Request(inputs)
         try:
             self._queue.put_nowait(request)
         except queue.Full:
@@ -221,10 +241,6 @@ class QueuedEngine(ServingEngine):
             # a dead scheduler can never strand blocked clients silently.
             self._closed = True
             self._fail_pending()
-            self._scheduler_exited()
-
-    def _scheduler_exited(self) -> None:
-        """Called exactly once when the scheduler thread exits (hook)."""
 
     def _drain_loop(self) -> None:
         while True:
@@ -365,10 +381,7 @@ class BatchedEngine(QueuedEngine):
     name = "batched"
 
     def _handle_batch(self, batch: list[_Request]) -> None:
-        self._safe_run_batch(batch)
-
-    def _safe_run_batch(self, batch: list[_Request]) -> None:
-        """Run a batch, guaranteeing every future in it resolves.
+        """Run a batch inline, guaranteeing every future in it resolves.
 
         The scheduler thread must survive *anything* — an escape here would
         kill it silently, hanging every queued client forever.  Whatever

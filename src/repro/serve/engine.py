@@ -15,13 +15,19 @@ backend — plugs in behind the same three methods:
 * ``close()`` — stop accepting work and fail anything still queued with
   :class:`EngineClosed` (clients get a clear error, never a hang).
 
-Two implementations ship here and in :mod:`repro.serve.batching`:
+Implementations:
 
-* :class:`DirectEngine` — today's behavior, made explicit: ``submit`` runs
-  the forward inline on the calling thread (the session's lock serializes
-  concurrent callers) and returns an already-resolved future.
-* :class:`~repro.serve.batching.BatchedEngine` — a background scheduler
-  coalesces requests from *different* callers into one fused forward.
+* :class:`DirectEngine` (here) — ``submit`` runs the forward inline on the
+  calling thread (the session's lock serializes concurrent callers) and
+  returns an already-resolved future.
+* The queued engines, all subclasses of
+  :class:`~repro.serve.batching.QueuedEngine` (bounded queue, scheduler
+  thread, one ``close`` semantics):
+  :class:`~repro.serve.batching.BatchedEngine` coalesces requests from
+  *different* callers into one fused forward,
+  :class:`~repro.serve.pool.ProcessPoolEngine` runs those batches on worker
+  processes, and :class:`~repro.serve.generate.GenerationEngine` runs
+  continuous batching for sequence generation.
 
 :func:`make_engine` is the factory the ``engine=`` knobs on
 :class:`repro.Predictor` / :func:`repro.load` / ``repro serve`` resolve

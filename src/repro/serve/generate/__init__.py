@@ -91,12 +91,13 @@ class GenerationPredictor:
             self.max_len = min(self.max_len, int(max_len))
         self.source_vocab = _rebuild_vocabulary(section.get("source_vocab"))
         self.target_vocab = _rebuild_vocabulary(section.get("target_vocab"))
+        queue_options = {name: value for name, value in
+                         (("max_wait_ms", max_wait_ms), ("queue_size", queue_size))
+                         if value is not None}
         self.engine = GenerationEngine(
             self.model, bos_id=self.bos_id, eos_id=self.eos_id,
-            max_batch=max_batch, max_len=self.max_len,
-            max_wait_ms=max_wait_ms if max_wait_ms is not None else 2.0,
-            queue_size=queue_size if queue_size is not None else 256,
-            seed=seed)
+            max_batch=max_batch, max_len=self.max_len, seed=seed,
+            **queue_options)
 
     # -- input/output mapping --------------------------------------------------
 

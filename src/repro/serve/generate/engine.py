@@ -18,28 +18,26 @@ so batching happens *across steps* instead of across arrivals:
   reference numerics, and a solo prefill keeps a request's outputs
   independent of which other sequences happened to arrive alongside it.
 
-Queueing semantics mirror :class:`~repro.serve.batching.QueuedEngine`: a
-bounded queue with :class:`~repro.serve.engine.QueueFull` backpressure, a
-background scheduler thread, and ``close()`` that drains in-flight sequences
-and fails queued futures with :class:`~repro.serve.engine.EngineClosed`.
+Queueing and lifecycle are inherited: :class:`GenerationEngine` is a
+:class:`~repro.serve.batching.QueuedEngine` — the same bounded queue with
+:class:`~repro.serve.engine.QueueFull` backpressure, the same scheduler
+thread, and the same ``close()``: sequences already decoding finish and get
+real results, requests still queued fail with
+:class:`~repro.serve.engine.EngineClosed`.  Only the scheduler loop differs.
 """
 
 from __future__ import annotations
 
 import queue
-import threading
 from concurrent.futures import Future
 
 import numpy as np
 
 from ...parallel.seeding import derive_seed
-from ..engine import EngineClosed, QueueFull
+from ..batching import QueuedEngine
 from .strategies import GenerationStrategy, make_strategy, token_logprobs
 
 __all__ = ["GenerationEngine"]
-
-#: Sentinel telling the scheduler thread to begin shutting down.
-_SHUTDOWN = object()
 
 
 class _Request:
@@ -61,7 +59,7 @@ class _Request:
         self.slot = -1
 
 
-class GenerationEngine:
+class GenerationEngine(QueuedEngine):
     """Continuous batching over one model's incremental decoder.
 
     Parameters
@@ -79,8 +77,7 @@ class GenerationEngine:
         Per-sequence position budget (clamped to the model's ``max_len``).
     max_wait_ms:
         How long an idle scheduler blocks on the queue before re-checking
-        for shutdown; also the arrival-coalescing window when the pool is
-        empty.
+        for shutdown.
     queue_size:
         Bound on queued requests; beyond it ``submit`` raises
         :class:`QueueFull` (HTTP 429).
@@ -95,77 +92,25 @@ class GenerationEngine:
     def __init__(self, model, bos_id: int, eos_id: int, max_batch: int = 8,
                  max_len: int | None = None, max_wait_ms: float = 2.0,
                  queue_size: int = 256, seed: int = 0, autostart: bool = True):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if queue_size < 1:
-            raise ValueError(f"queue_size must be >= 1, got {queue_size}")
+        # No session: forwards run through the model's incremental decoder.
+        # The thread starts only once the decode state below exists.
+        super().__init__(None, max_batch=max_batch, max_wait_ms=max_wait_ms,
+                         queue_size=queue_size, autostart=False)
         self.model = model
         self.bos_id = int(bos_id)
         self.eos_id = int(eos_id)
         self.pad_id = int(model.pad_id)
-        self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
-        self.queue_size = int(queue_size)
         self.seed = int(seed)
         self.state = model.new_decode_state(self.max_batch, max_len=max_len)
-
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._active: dict[int, _Request] = {}
         self._free = list(range(self.max_batch - 1, -1, -1))
-        self._lock = threading.Lock()
-        self._closed = False
-        self._shutdown = False
-        self._scheduler: threading.Thread | None = None
-        self._scheduler_exited = threading.Event()
-        # Telemetry (guarded by _lock; the scheduler is the only writer).
-        self._requests = 0
+        # Counters beyond the flat schema (there, ``samples`` counts generated
+        # tokens and ``batches`` decode steps); all guarded by _stats_lock.
+        self._arrivals = 0
         self._completed = 0
-        self._tokens_generated = 0
-        self._steps = 0
         self._step_rows = 0
         if autostart:
             self.start()
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._scheduler is not None and self._scheduler.is_alive():
-            return
-        self._scheduler_exited.clear()
-        self._scheduler = threading.Thread(target=self._scheduler_loop,
-                                           name="repro-generate-scheduler",
-                                           daemon=True)
-        self._scheduler.start()
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Drain in-flight sequences, fail queued futures, stop the thread.
-
-        Active sequences finish decoding (their clients get real results);
-        requests still waiting in the queue fail fast with
-        :class:`EngineClosed` instead of hanging.  Idempotent.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._shutdown = True
-        try:
-            self._queue.put_nowait(_SHUTDOWN)
-        except queue.Full:  # the scheduler will see _shutdown on its next poll
-            pass
-        if self._scheduler is not None:
-            self._scheduler.join(timeout)
-        self._fail_pending()
-
-    def __enter__(self) -> "GenerationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def warm(self, input_shape=None, batch_sizes=None) -> None:
-        """No-op (kept for engine-interface symmetry): decode state is
-        preallocated at construction and there is no plan cache to prime."""
 
     # -- submission ------------------------------------------------------------
 
@@ -193,66 +138,49 @@ class GenerationEngine:
         if max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
         resolved = make_strategy(strategy, temperature=temperature, top_k=top_k)
-        with self._lock:
-            if self._closed:
-                raise EngineClosed("generation engine is closed; no new "
-                                   "sequences are accepted")
-            index = self._requests
-            self._requests += 1
+        with self._stats_lock:  # request i (in arrival order) seeds stream i
+            index = self._arrivals
+            self._arrivals += 1
         components = ("generate", index) if seed is None else ("generate",)
         rng = np.random.default_rng(
             derive_seed(self.seed if seed is None else int(seed), *components))
-        request = _Request(Future(), source, max_new_tokens, resolved, rng)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            raise QueueFull(f"generation queue is full ({self.queue_size} "
-                            f"requests waiting); retry with backoff") from None
-        if self._closed:  # close() raced the enqueue — fail loudly, not silently
-            self._fail_pending()
-        return request.future
+        return self._enqueue(_Request(Future(), source, max_new_tokens,
+                                      resolved, rng))
 
     # -- scheduler -------------------------------------------------------------
 
-    def _scheduler_loop(self) -> None:
+    def _drain_loop(self) -> None:
+        """Admit → one batched decode step → retire, until closed and idle."""
         try:
             while True:
                 self._admit()
-                if not self._active:
-                    if self._shutdown:
-                        break
-                    continue
-                self._step()
-        finally:
-            with self._lock:
-                self._closed = True
-            self._fail_pending()
-            self._scheduler_exited.set()
+                if self._active:
+                    self._step()
+                elif self._closed:
+                    return
+        except BaseException as error:  # admitted sequences left the queue —
+            self._fail_batch(list(self._active.values()), error)  # fail them
+            raise
 
     def _admit(self) -> None:
-        """Move queued requests into free slots; block briefly when idle."""
-        block = not self._active and not self._shutdown
-        while self._free or block:
+        """Move queued requests into free slots; block briefly when idle.
+
+        Nothing is admitted once the engine is closed: what is still queued
+        stays there for the scheduler's exit path to fail with
+        :class:`~repro.serve.engine.EngineClosed`.
+        """
+        block = not self._active
+        while self._free and not self._closed:
             try:
                 item = self._queue.get(timeout=self.max_wait_ms / 1000.0) \
                     if block else self._queue.get_nowait()
             except queue.Empty:
                 return
             block = False
-            if item is _SHUTDOWN:
-                return
-            if not self._free:  # shutdown sentinel consumed a blocking get
-                self._requeue(item)
+            if self._closed:  # the shutdown sentinel, or close() raced the get
+                self._fail_request(item)
                 return
             self._start_request(item)
-
-    def _requeue(self, request: _Request) -> None:
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self._fail_request(request.future,
-                               QueueFull("generation queue overflowed while "
-                                         "re-queueing; retry with backoff"))
 
     def _start_request(self, request: _Request) -> None:
         """Prefill one request into a free slot (solo — batch-1 numerics)."""
@@ -285,8 +213,8 @@ class GenerationEngine:
                 self._finish(self._active[slot], error=error)
             return
         logprobs = token_logprobs(logits)
-        with self._lock:
-            self._steps += 1
+        with self._stats_lock:
+            self.batches += 1
             self._step_rows += rows.shape[0]
         for position, slot in enumerate(rows):
             request = self._active[int(slot)]
@@ -297,8 +225,8 @@ class GenerationEngine:
             request.tokens.append(token)
             request.logprobs.append(float(logprobs[position, token]))
             request.last_token = token
-            with self._lock:
-                self._tokens_generated += 1
+            with self._stats_lock:
+                self.samples += 1
             if len(request.tokens) >= request.max_new_tokens:
                 self._finish(request, reason="length")
             elif int(self.state.lengths[int(slot)]) >= self.state.max_len:
@@ -312,7 +240,7 @@ class GenerationEngine:
             if error is not None:
                 request.future.set_exception(error)
             else:
-                with self._lock:
+                with self._stats_lock:
                     self._completed += 1
                 request.future.set_result({
                     "tokens": list(request.tokens),
@@ -323,58 +251,27 @@ class GenerationEngine:
         except Exception:  # pragma: no cover — future already resolved
             pass
 
-    def _fail_request(self, future: Future, error: Exception) -> None:
-        if future.set_running_or_notify_cancel():
-            try:
-                future.set_exception(error)
-            except Exception:  # pragma: no cover
-                pass
-
-    def _fail_pending(self) -> None:
-        error = EngineClosed("generation engine closed before this request "
-                            "was scheduled; retry against a live server")
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                self._fail_request(item.future, error)
-        for slot in list(self._active):
-            self._fail_request(self._active.pop(slot).future, error)
-
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> dict:
-        """QueuedEngine-schema counters plus the ``generation`` section.
+        """The queued-engine schema plus the ``generation`` section.
 
         ``samples`` counts generated tokens (the unit of work a step
-        produces) and ``batches`` counts decode steps, so ``mean_batch_rows``
-        reads as the average number of sequences sharing a forward.
+        produces) and ``batches`` counts decode steps; ``mean_batch_rows``
+        is the average number of sequences sharing a decode step.
         """
-        with self._lock:
-            steps = self._steps
-            step_rows = self._step_rows
-            tokens = self._tokens_generated
-            stats = {
-                "engine": self.name,
-                "requests": self._requests,
-                "samples": tokens,
-                "batches": steps,
-                "mean_batch_rows": (step_rows / steps) if steps else 0.0,
-                "queue_depth": self._queue.qsize(),
-                "queue_size": self.queue_size,
-                "max_batch": self.max_batch,
-                "max_wait_ms": self.max_wait_ms,
-                "closed": self._closed,
-                "generation": {
-                    "tokens_generated": tokens,
-                    "completed": self._completed,
-                    "active_sequences": len(self._active),
-                    "mean_batch_occupancy":
-                        (step_rows / (steps * self.max_batch)) if steps else 0.0,
-                    "slots": self.max_batch,
-                    "cache": self.state.describe(),
-                },
-            }
+        stats = super().stats()
+        with self._stats_lock:
+            steps, step_rows = self.batches, self._step_rows
+            completed = self._completed
+        stats["mean_batch_rows"] = round(step_rows / steps, 3) if steps else 0.0
+        stats["generation"] = {
+            "tokens_generated": stats["samples"],
+            "completed": completed,
+            "active_sequences": len(self._active),
+            "mean_batch_occupancy":
+                (step_rows / (steps * self.max_batch)) if steps else 0.0,
+            "slots": self.max_batch,
+            "cache": self.state.describe(),
+        }
         return stats

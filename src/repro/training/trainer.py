@@ -10,14 +10,13 @@ training-stability study measures.
 from __future__ import annotations
 
 import math
-import os
 import shutil
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from ..data.dataloader import DataLoader
+from ..io.atomic import atomic_publish
 from ..io.bundle import bundle_section
 from ..io.checkpoint import load_checkpoint, save_checkpoint
 from ..metrics.accuracy import accuracy
@@ -31,27 +30,9 @@ __all__ = ["Trainer"]
 
 
 def _atomic_copy(source: Path, destination: Path) -> None:
-    """Publish a byte copy of ``source`` at ``destination`` atomically.
-
-    Unique temp name + fsync + rename — the same discipline as
-    :func:`repro.io.checkpoint.save_checkpoint` — so concurrent trainers
-    sharing a checkpoint_dir never interleave into one file and a crash can
-    never publish a torn copy.
-    """
-    descriptor, temp_name = tempfile.mkstemp(
-        dir=destination.parent, prefix=destination.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "wb") as stream, open(source, "rb") as origin:
-            shutil.copyfileobj(origin, stream)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(temp_name, destination)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    """Publish a byte copy of ``source`` at ``destination`` atomically."""
+    with atomic_publish(destination) as stream, open(source, "rb") as origin:
+        shutil.copyfileobj(origin, stream)
 
 
 class Trainer:
@@ -164,7 +145,10 @@ class Trainer:
                                totals: dict) -> None:
         """Write ``step_<k>.npz`` + rolling ``last_step.npz`` when the step counter says so.
 
-        The checkpoint carries ``(epoch, batch_index)``, the loader's
+        ``last_step.npz`` is written first and ``step_<k>.npz`` published as
+        its byte copy, so whoever sees ``step_<k>.npz`` — including a
+        ``kill -9`` timed on it — also finds a ``last_step.npz`` at least
+        that new.  The checkpoint carries ``(epoch, batch_index)``, the loader's
         mid-epoch cursor (via ``loader.state_dict()``) and the partial-epoch
         metric sums, so :meth:`fit` can resume from it and replay the rest of
         the epoch bit-identically.
@@ -174,13 +158,14 @@ class Trainer:
         if self.global_step % self._step_checkpoint_every:
             return
         epoch = epoch if epoch is not None else len(self.history) + 1
-        path = self.save_checkpoint(
-            self._step_checkpoint_dir / f"step_{self.global_step:06d}.npz",
+        last = self.save_checkpoint(
+            self._step_checkpoint_dir / "last_step.npz",
             loader, epoch=epoch - 1,
             extra={"batch_index": totals["batches"],
                    "epoch_in_progress": epoch,
                    "partial": dict(totals)})
-        _atomic_copy(path, self._step_checkpoint_dir / "last_step.npz")
+        _atomic_copy(last, self._step_checkpoint_dir
+                     / f"step_{self.global_step:06d}.npz")
 
     # -- profiling ----------------------------------------------------------------
 
@@ -415,10 +400,11 @@ class Trainer:
                     self.save_checkpoint(checkpoint_dir / "best.npz", train_loader, epoch)
             if checkpoint_dir is not None and checkpoint_every and \
                     epoch % checkpoint_every == 0:
-                epoch_path = self.save_checkpoint(
-                    checkpoint_dir / f"epoch_{epoch:04d}.npz", train_loader, epoch)
-                # last.npz is a byte copy, not a second (expensive) serialization.
-                _atomic_copy(epoch_path, checkpoint_dir / "last.npz")
+                # Rolling file first, numbered byte copy second (no second
+                # serialization), as for the step checkpoints above.
+                last = self.save_checkpoint(checkpoint_dir / "last.npz",
+                                            train_loader, epoch)
+                _atomic_copy(last, checkpoint_dir / f"epoch_{epoch:04d}.npz")
 
             if self.diverged and stop_on_divergence:
                 break

@@ -8,7 +8,7 @@ import pytest
 
 from repro.models import Transformer
 from repro.serve import EngineClosed, QueueFull
-from repro.serve.generate import GenerationEngine
+from repro.serve.generate import GenerationEngine, GenerationStrategy
 
 BOS, EOS = 1, 2
 
@@ -168,6 +168,68 @@ class TestBackpressureAndDrain:
             except EngineClosed:
                 continue  # failed fast rather than hanging: acceptable drain
             assert result["finish_reason"] in ("eos", "length", "max_len")
+
+    def test_close_finishes_active_and_fails_queued_without_leaking(
+            self, monkeypatch):
+        """One slot, one sequence decoding, a full queue behind it, then
+        close(): the sequence finishes, every queued request fails with
+        EngineClosed, close() is quick, and the scheduler thread is gone."""
+        def repro_threads():
+            return sum(thread.name.startswith("repro-")
+                       for thread in threading.enumerate())
+
+        baseline = repro_threads()
+        model = _tiny_transformer()
+        decode_step = model.decode_step
+        decoding, release = threading.Event(), threading.Event()
+
+        def held_decode_step(*args, **kwargs):
+            decoding.set()
+            release.wait(10)
+            return decode_step(*args, **kwargs)
+
+        monkeypatch.setattr(model, "decode_step", held_decode_step)
+        engine = GenerationEngine(model, bos_id=BOS, eos_id=EOS, max_batch=1,
+                                  queue_size=3)
+        active = engine.submit(_source(5, 0), max_new_tokens=4)
+        assert decoding.wait(10)  # the one slot is busy decoding
+        queued = [engine.submit(_source(5, seed)) for seed in range(1, 4)]
+        with pytest.raises(QueueFull):
+            engine.submit(_source(5, 9))
+
+        releaser = threading.Timer(0.2, release.set)
+        releaser.start()
+        started = time.monotonic()
+        engine.close()
+        elapsed = time.monotonic() - started
+        releaser.join()
+
+        assert elapsed < 3.0, f"close() took {elapsed:.1f}s on a full queue"
+        assert active.result(timeout=0)["finish_reason"] in ("eos", "length")
+        for future in queued:
+            with pytest.raises(EngineClosed):
+                future.result(timeout=0)
+        assert repro_threads() == baseline
+
+    def test_crashed_scheduler_fails_active_and_queued_futures(self):
+        class Broken(GenerationStrategy):
+            name = "broken"
+
+            def select(self, logits, rng):
+                raise RuntimeError("strategy bug")
+
+        engine = GenerationEngine(_tiny_transformer(), bos_id=BOS, eos_id=EOS,
+                                  max_batch=1, autostart=False)
+        active = engine.submit(_source(5, 0), strategy=Broken())
+        queued = engine.submit(_source(5, 1))
+        engine.start()
+        with pytest.raises(RuntimeError, match="strategy bug"):
+            active.result(timeout=10)
+        with pytest.raises(EngineClosed):
+            queued.result(timeout=10)
+        engine.close()
+        assert engine.stats()["closed"] is True
+        assert not engine._thread.is_alive()
 
     def test_submit_after_close_is_rejected(self):
         model = _tiny_transformer()

@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro.experiments.registry import unregister
 from repro.experiments.runner import run_experiment, run_many
+from repro.io import atomic_publish
 from repro.io.serialization import atomic_write_json
 from repro.parallel import (
     FileLock,
@@ -405,6 +406,17 @@ class TestAtomicWrite:
         atomic_write_json(path, {"version": 2})
         import json
         assert json.loads(path.read_text()) == {"version": 2}
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_publish_keeps_previous_bytes(self, tmp_path):
+        path = tmp_path / "state.bin"
+        with atomic_publish(path) as stream:
+            stream.write(b"old")
+        with pytest.raises(OSError, match="simulated"):
+            with atomic_publish(path) as stream:
+                stream.write(b"torn")
+                raise OSError("simulated crash mid-write")
+        assert path.read_bytes() == b"old"
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_unserializable_payload_preserves_existing_file(self, tmp_path):

@@ -298,7 +298,7 @@ class TestBatchedEngine:
     def test_crashed_scheduler_fails_futures_and_closes(self, monkeypatch):
         engine = BatchedEngine(InferenceSession(Doubler(), strict_no_graph=False),
                                max_wait_ms=1.0, autostart=False)
-        monkeypatch.setattr(engine, "_safe_run_batch",
+        monkeypatch.setattr(engine, "_handle_batch",
                             lambda batch: (_ for _ in ()).throw(
                                 RuntimeError("scheduler bug")))
         future = engine.submit(np.ones((1, 2), dtype=np.float32))

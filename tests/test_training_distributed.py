@@ -341,6 +341,35 @@ class TestStepCheckpointing:
         checkpoint_module.load_checkpoint(published)  # still a valid archive
         assert not list(tmp_path.glob("*.tmp"))  # the torn temp was removed
 
+    @pytest.mark.parametrize("rolling, numbered, interval", [
+        ("last.npz", "epoch_0002.npz", {"checkpoint_every": 1}),
+        ("last_step.npz", "step_000004.npz", {"checkpoint_every_steps": 2}),
+    ])
+    def test_interrupted_copy_never_publishes_a_torn_file(
+            self, tmp_path, monkeypatch, rolling, numbered, interval):
+        from repro.io.checkpoint import load_checkpoint
+        from repro.training import trainer as trainer_module
+
+        _, trainer = self._trainer()
+        loader = _loader()
+        trainer.fit(loader, epochs=1, checkpoint_dir=tmp_path, **interval)
+        before = (tmp_path / rolling).read_bytes()
+
+        def torn_copy(source, destination):
+            destination.write(source.read(64))  # a valid prefix, then die
+            raise OSError("simulated crash mid-copy")
+
+        monkeypatch.setattr(trainer_module.shutil, "copyfileobj", torn_copy)
+        with pytest.raises(OSError, match="simulated crash"):
+            trainer.fit(loader, epochs=2, checkpoint_dir=tmp_path, **interval)
+        monkeypatch.undo()
+
+        assert not (tmp_path / numbered).exists()
+        assert not list(tmp_path.glob("*.tmp"))  # the torn temp was removed
+        # The rolling file was published whole before the copy began.
+        assert (tmp_path / rolling).read_bytes() != before
+        load_checkpoint(tmp_path / rolling)
+
 
 class TestPreemptionSubprocess:
     """SIGKILL a real training process at a step boundary, resume, compare bytes."""
