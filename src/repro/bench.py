@@ -26,6 +26,7 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +40,7 @@ __all__ = ["time_callable", "fused_kernel_benchmarks", "inference_benchmarks",
            "serving_benchmarks", "pool_benchmarks", "trace_benchmarks",
            "generation_benchmarks", "training_benchmarks",
            "benchmark_experiments", "Micro", "MICROS", "select",
-           "build_summary", "check_gates", "write_summary"]
+           "environment", "build_summary", "check_gates", "write_summary"]
 
 #: Fused micro-benchmark result keys, kept identical to the historical
 #: pytest-benchmark test names so BENCH_autograd.json stays a trajectory.
@@ -723,6 +724,34 @@ def select(micros: str | None, gates: list[str]) -> tuple[list[str], dict]:
     return [name for name in MICROS if name in names], floors
 
 
+#: Environment variables that set the BLAS thread count.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """What a run's numbers depend on: cores, BLAS, numpy, interpreter, commit."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except Exception:  # noqa: BLE001 — older numpy: record what is known
+        blas = {"name": "unknown", "version": "unknown"}
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
+                             text=True, capture_output=True, timeout=10).stdout.strip()
+    except (OSError, subprocess.TimeoutExpired):
+        sha = ""
+    return {
+        "nproc": os.cpu_count() or 1,
+        "blas": blas,
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_ENV},
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "git_sha": sha or "not a git checkout",
+    }
+
+
 def build_summary(figure_repros: dict, results: dict, scale: str,
                   started: float) -> dict:
     """The ``BENCH_autograd.json`` document for ``{micro name: result}``."""
@@ -738,8 +767,7 @@ def build_summary(figure_repros: dict, results: dict, scale: str,
         "targets": sorted(figure_repros),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime(started)),
         "harness_seconds": time.time() - started,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
+        "environment": environment(),
     })
     return summary
 

@@ -77,9 +77,10 @@ class EfficientQuadraticLinear(Module):
         counterpart and the quadratic response grows during training.
 
     The forward pass dispatches the fused ``quadratic_response`` op (one
-    graph node, hand-derived VJP); set ``use_fused = False`` to fall back to
-    the node-by-node composition of primitives, which produces bit-identical
-    outputs and gradients.
+    graph node, hand-derived VJP, the ``out_features`` trim included); set
+    ``use_fused = False`` to fall back to the node-by-node composition of
+    primitives, which produces bit-identical outputs and gradients equal up
+    to rounding (the hand-derived VJP sums in another order).
     """
 
     use_fused = True
@@ -123,14 +124,11 @@ class EfficientQuadraticLinear(Module):
             raise ValueError(
                 f"expected input with {self.in_features} features, got {x.shape[-1]}")
         if self.use_fused:
-            output = quadratic_response(
+            return quadratic_response(
                 x, self.weight, self.q_weight, self.lambdas, self.bias,
-                rank=self.rank, vectorized=self.vectorized_output)
-        else:
-            output = self._forward_unfused(x)
-        if output.shape[-1] != self.out_features:
-            output = output[..., :self.out_features]
-        return output
+                rank=self.rank, vectorized=self.vectorized_output,
+                out_features=self.out_features)
+        return self._forward_unfused(x)
 
     def _forward_unfused(self, x: Tensor) -> Tensor:
         """Reference composition of primitives (used by tests and benchmarks)."""
@@ -143,10 +141,12 @@ class EfficientQuadraticLinear(Module):
         linear_response = x @ self.weight.T
         if self.bias is not None:
             linear_response = linear_response + self.bias
-        response = linear_response + quadratic
-        if not self.vectorized_output:
-            return response
-        return Tensor.cat([response, projections], axis=-1)
+        output = linear_response + quadratic
+        if self.vectorized_output:
+            output = Tensor.cat([output, projections], axis=-1)
+        if output.shape[-1] != self.out_features:
+            output = output[..., :self.out_features]
+        return output
 
     # -- introspection --------------------------------------------------------
 

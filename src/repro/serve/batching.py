@@ -319,13 +319,28 @@ class QueuedEngine(ServingEngine):
                 "live server"))
 
     def _fail_pending(self) -> None:
-        """Fail every still-queued request with a clear shutdown error."""
+        """Fail every still-queued request with a clear shutdown error.
+
+        The shutdown sentinel is not a request.  A drain that takes it while
+        the scheduler still runs (a forward in flight when a submit raced
+        ``close``, or outlasted its timeout) puts it back: it is the only
+        wake-up for the scheduler's blocking ``get``.
+        """
+        woken = False
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
-                return
-            self._fail_request(item)
+                break
+            if item is _SHUTDOWN:
+                woken = True
+            else:
+                self._fail_request(item)
+        if woken and self._thread.is_alive():
+            try:
+                self._queue.put_nowait(_SHUTDOWN)
+            except queue.Full:  # a queued request wakes it just as well
+                pass
 
     # -- introspection ---------------------------------------------------------
 

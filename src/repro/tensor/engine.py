@@ -218,8 +218,7 @@ def apply_op(name: str, *inputs, **kwargs):
         data = opdef.forward(ctx, *ctx.inputs, **kwargs)
     else:
         data = opdef.forward(ctx, *ctx.inputs)
-    out = tensor_cls(data, requires_grad=requires_grad,
-                     _parents=tensors if requires_grad else (), _op=name)
+    out = tensor_cls._from_op(data, requires_grad, tensors if requires_grad else (), name)
     if requires_grad:
         _state.graph_nodes_created += 1
         out._ctx = ctx

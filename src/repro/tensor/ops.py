@@ -38,7 +38,8 @@ Conventions
 The registry also hosts the fused composite kernels for the paper's hot
 paths: ``quadratic_response`` / ``quadratic_conv2d`` evaluate the proposed
 neuron ``y = wᵀx + b + (fᵏ)ᵀΛᵏfᵏ`` with a single hand-derived VJP instead of
-the ~8-node subgraph the unfused composition builds, and ``conv2d`` shares a
+the ~8-node subgraph the unfused composition builds, ``layer_norm`` replaces
+LayerNorm's 11-primitive composition byte for byte, and ``conv2d`` shares a
 cached im2col column buffer between inference calls.
 """
 
@@ -1063,6 +1064,60 @@ register_op("linear", _linear_fw, _linear_vjp,
             sample=lambda rng: ([_sn(rng, 2, 3, 4), _sn(rng, 5, 4), _sn(rng, 5)], {}))
 
 
+def _layer_norm_fw(ctx, x, weight, bias, *, eps):
+    """Layer normalization over the last axis, ``(x - μ) / √(σ² + eps) · w + b``.
+
+    Repeats the numpy sequence of the 11-primitive composition it replaces:
+    each mean is a ``sum`` times the 0-d float64 constant ``1/n``, and
+    ``eps`` is added as a 0-d array.  Those 0-d float64 operands promote a
+    float32 input, so the output is float64 — kept, because the bytes of
+    every output and gradient must equal the composition's.
+    """
+    inv_n = np.asarray(1.0 / x.shape[-1])
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n
+                  + np.asarray(eps))
+    normalized = centered / std
+    if ctx.requires_grad:
+        ctx.saved = (centered, std, normalized)
+    return normalized * weight + bias
+
+
+def _layer_norm_vjp(ctx, grad, needs):
+    """Replays the composition's VJPs in the order the executor ran them.
+
+    ``centered`` collects the ``div`` contribution first, then the two of
+    ``centered * centered``; ``x`` collects the ``sub`` contribution, then
+    the mean's ``sum``, each cast to ``x.dtype`` before it is added.
+    """
+    x, weight, bias = ctx.inputs
+    centered, std, normalized = ctx.saved
+    grad_x = grad_w = grad_b = None
+    if needs[0]:
+        inv_n = np.asarray(1.0 / x.shape[-1])
+        grad_normalized = unbroadcast(grad * weight, normalized.shape)
+        grad_std = unbroadcast(-grad_normalized * centered / (std ** 2), std.shape)
+        # sqrt, then the eps add and the variance's mean pass it through.
+        grad_square = grad_std * 0.5 / std * inv_n
+        from_square = grad_square * centered
+        grad_centered = grad_normalized / std
+        grad_centered += from_square
+        grad_centered += from_square
+        grad_mean = unbroadcast(-grad_centered, std.shape)
+        grad_x = (grad_centered.astype(x.dtype, copy=False)
+                  + (grad_mean * inv_n).astype(x.dtype, copy=False))
+    if needs[1]:
+        grad_w = unbroadcast(grad * normalized, weight.shape)
+    if needs[2]:
+        grad_b = unbroadcast(grad, bias.shape)
+    return (grad_x, grad_w, grad_b)
+
+
+register_op("layer_norm", _layer_norm_fw, _layer_norm_vjp,
+            sample=lambda rng: ([_sn(rng, 2, 3, 5), _sn(rng, 5), _sn(rng, 5)],
+                                {"eps": 1e-5}))
+
+
 def _quadratic_form_fw(ctx, x, matrices):
     """Batched general quadratic form: ``y_o = xᵀ M_o x`` for stacked ``M``.
 
@@ -1101,14 +1156,16 @@ register_op("quadratic_form", _quadratic_form_fw, _quadratic_form_vjp,
 
 
 def _quadratic_response_fw(ctx, x, weight, q_weight, lambdas, bias=None, *,
-                           rank, vectorized=True):
+                           rank, vectorized=True, out_features=None):
     """Fused proposed-neuron response ``{y, fᵏ}`` (Sec. III of the paper).
 
     ``x``: (..., n); ``weight``: (m, n); ``q_weight``: (n, m·k);
     ``lambdas``: (m, k); optional ``bias``: (m,).  Output is
     ``concat([y, f], -1)`` of width ``m·(k+1)`` when ``vectorized`` else just
     ``y`` of width ``m`` — exactly the unfused composition
-    ``EfficientQuadraticLinear`` used to build node by node.
+    ``EfficientQuadraticLinear`` used to build node by node.  A narrower
+    ``out_features`` returns the leading features only, as a view of that
+    output, so the layer's trim needs no separate ``getitem``.
     """
     m = weight.shape[0]
     f = x @ q_weight                                     # (..., m*k)
@@ -1120,9 +1177,10 @@ def _quadratic_response_fw(ctx, x, weight, q_weight, lambdas, bias=None, *,
     y = lin + quad
     if ctx.requires_grad:
         ctx.saved = g
-    if not vectorized:
-        return y
-    return np.concatenate([y, f], axis=-1)
+    out = np.concatenate([y, f], axis=-1) if vectorized else y
+    if out_features is not None and out_features < out.shape[-1]:
+        return out[..., :out_features]
+    return out
 
 
 def _quadratic_response_vjp(ctx, grad, needs):
@@ -1132,6 +1190,13 @@ def _quadratic_response_vjp(ctx, grad, needs):
     vectorized = ctx.kwargs.get("vectorized", True)
     g = ctx.saved
     m = weight.shape[0]
+    width = m * (rank + 1) if vectorized else m
+    if grad.shape[-1] < width:
+        # Zero-pad back to the untrimmed width, as the trimming getitem's VJP
+        # did: adding into zeros (not assigning) turns -0.0 into +0.0 like it.
+        full = np.zeros(grad.shape[:-1] + (width,), dtype=grad.dtype)
+        full[..., :grad.shape[-1]] += grad
+        grad = full
 
     grad_y = grad[..., :m]
     # Gradient flowing into the projections f: the quadratic term contributes
@@ -1160,7 +1225,7 @@ def _quadratic_response_sample(rng):
     n, m, k = 5, 3, 2
     return ([_sn(rng, 2, n), _sn(rng, m, n), _sn(rng, n, m * k),
              _sn(rng, m, k, scale=0.5), _sn(rng, m)],
-            {"rank": k, "vectorized": True})
+            {"rank": k, "vectorized": True, "out_features": m * (k + 1) - 1})
 
 
 register_op("quadratic_response", _quadratic_response_fw, _quadratic_response_vjp,

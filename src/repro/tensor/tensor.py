@@ -33,7 +33,7 @@ def _as_array(value, dtype=None) -> np.ndarray:
     array = np.asarray(value)
     if dtype is not None:
         return array.astype(dtype, copy=False)
-    if not np.issubdtype(array.dtype, np.floating):
+    if array.dtype.kind != "f":
         return array.astype(DEFAULT_DTYPE)
     return array
 
@@ -52,6 +52,25 @@ class Tensor:
         self._op = _op
         self._ctx = None
         self._grad_owned = False
+
+    @classmethod
+    def _from_op(cls, data, requires_grad: bool, parents: tuple, op: str) -> "Tensor":
+        """Wrap a registered op's output: the executor's constructor.
+
+        A float ndarray, which is what forwards return, is stored as it is;
+        anything else (a NumPy scalar from a full reduction, integer data)
+        goes through the same rule as :meth:`__init__`.
+        """
+        out = cls.__new__(cls)
+        out.data = (data if type(data) is np.ndarray and data.dtype.kind == "f"
+                    else _as_array(data))
+        out.requires_grad = requires_grad
+        out.grad = None
+        out._parents = parents
+        out._op = op
+        out._ctx = None
+        out._grad_owned = False
+        return out
 
     # -- constructors -------------------------------------------------------
 

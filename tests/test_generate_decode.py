@@ -1,5 +1,7 @@
 """Incremental KV-cached decoding: byte-identity with the full-prefix path."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.serve.generate import (
     make_strategy,
     token_logprobs,
 )
-from repro.tensor import no_grad
+from repro.tensor import add_op_timing_hook, no_grad, remove_op_timing_hook
 from repro.training import Seq2SeqTrainer
 
 BOS, EOS, PAD = 1, 2, 0
@@ -179,6 +181,56 @@ class TestCacheLifecycle:
             baseline = model.decode_step(fresh, fed)
             assert np.array_equal(reused, baseline)
             fed = reused.argmax(axis=-1)
+
+
+class TestDispatchCount:
+    """Decode is dispatch-bound, so the number of ops per forward is pinned.
+
+    A composition that creeps back in (a LayerNorm built from primitives, a
+    separate trim ``getitem`` per quadratic projection) fails here by name
+    instead of showing up as a silent slowdown.
+    """
+
+    @staticmethod
+    def _count(run) -> Counter:
+        counts = Counter()
+
+        def hook(name, seconds):
+            counts[name] += 1
+
+        add_op_timing_hook(hook)
+        try:
+            run()
+        finally:
+            remove_op_timing_hook(hook)
+        return counts
+
+    @staticmethod
+    def _smoke_model() -> Transformer:
+        scale = get_scale("smoke")
+        task = SyntheticTranslationTask(train_size=8, test_size=4,
+                                        seed=scale.seed + 31)
+        return build_transformer(task, scale, neuron_type="proposed").eval()
+
+    @staticmethod
+    def _sources(batch: int) -> np.ndarray:  # ids inside the smoke vocabularies
+        return np.random.default_rng(0).integers(4, 20, size=(batch, 6))
+
+    def test_single_group_decode_step_dispatches_78_ops(self):
+        model = self._smoke_model()
+        state = model.start_decode(self._sources(3))
+        model.decode_step(state, np.full(3, BOS))  # depth 0 runs two forwards
+        counts = self._count(lambda: model.decode_step(state, np.full(3, 5)))
+        assert sum(counts.values()) == 78, dict(counts)
+        assert counts["layer_norm"] == 6 and "sqrt" not in counts, dict(counts)
+
+    def test_one_source_prefill_dispatches_65_ops(self):
+        model = self._smoke_model()
+        state = model.new_decode_state(2, src_capacity=6)
+        counts = self._count(lambda: model.prefill(state, np.array([1]),
+                                                   self._sources(1)))
+        assert sum(counts.values()) == 65, dict(counts)
+        assert counts["getitem"] == 1, dict(counts)  # the embedding lookup only
 
 
 class TestBleuIdentity:

@@ -3,6 +3,7 @@
 import json
 import pkgutil
 
+import numpy as np
 import pytest
 
 import repro.experiments as experiments_package
@@ -361,6 +362,20 @@ class TestBenchGates:
         empty = bench.build_summary({}, {}, scale="smoke", started=0.0)
         assert bench.check_gates(empty, {name: 1.0}) == \
             [f"{name} benchmark missing from the summary"]
+
+    def test_summary_records_the_environment(self, monkeypatch):
+        from repro import bench
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        environment = bench.build_summary({}, {}, scale="smoke",
+                                          started=0.0)["environment"]
+        assert set(environment) == {"nproc", "blas", "blas_threads", "numpy",
+                                    "python", "platform", "git_sha"}
+        assert environment["nproc"] >= 1
+        assert environment["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert set(environment["blas"]) == {"name", "version"}
+        assert environment["numpy"] == np.__version__
+        assert environment["git_sha"]
 
     def test_trace_gates_every_batch(self):
         from repro import bench

@@ -266,6 +266,68 @@ class TestBatchedEngine:
             with pytest.raises(EngineClosed, match="shutting down"):
                 future.result(timeout=5)
 
+    def test_submit_racing_close_cannot_strand_the_scheduler(self):
+        """A submit that passed the closed check before ``close`` drains the
+        queue after it, sentinel included, while a forward is in flight; the
+        scheduler must still wake and exit within ``close``'s timeout."""
+        import queue
+
+        from repro.serve.batching import _SHUTDOWN
+
+        def repro_threads():
+            return sum(thread.name.startswith("repro-")
+                       for thread in threading.enumerate())
+
+        entered, release = threading.Event(), threading.Event()
+
+        class Blocking(Module):
+            def forward(self, x):
+                entered.set()
+                release.wait(5)
+                return x * 2
+
+        sentinel_queued = threading.Event()
+        closer_box = []
+
+        class RacingQueue(queue.Queue):
+            def put_nowait(self, item):
+                if item is _SHUTDOWN:
+                    super().put_nowait(item)
+                    sentinel_queued.set()
+                    return
+                if entered.is_set() and not closer_box:
+                    # The racing submit already passed the closed check:
+                    # close() runs (flag, sentinel, join) before its put.
+                    closer = threading.Thread(target=engine.close,
+                                              kwargs={"timeout": 2.0})
+                    closer_box.append(closer)
+                    closer.start()
+                    assert sentinel_queued.wait(5)
+                super().put_nowait(item)
+
+        baseline = repro_threads()
+        session = InferenceSession(Blocking(), strict_no_graph=False)
+        engine = BatchedEngine(session, max_batch=1, max_wait_ms=0.0,
+                               autostart=False)
+        engine._queue = RacingQueue(maxsize=engine.queue_size)
+        engine.start()
+        inflight = engine.submit(np.ones((1, 2), dtype=np.float32))
+        assert entered.wait(5)
+        racing = engine.submit(np.ones((1, 2), dtype=np.float32))
+        with pytest.raises(EngineClosed, match="shutting down"):
+            racing.result(timeout=0)  # the submit's own drain failed it
+        release.set()
+        try:
+            np.testing.assert_array_equal(inflight.result(timeout=5),
+                                          np.full((1, 2), 2.0, dtype=np.float32))
+            closer_box[0].join(5)
+            assert not closer_box[0].is_alive()
+            assert not engine._thread.is_alive(), \
+                "scheduler outlived close(): the drain lost its wake-up"
+            assert repro_threads() == baseline
+        finally:
+            engine._queue.put(_SHUTDOWN)  # free a stranded scheduler
+
     def test_forward_errors_isolated_to_their_batch(self):
         session = InferenceSession(Exploder(), strict_no_graph=False)
         with BatchedEngine(session, max_wait_ms=1.0) as engine:
