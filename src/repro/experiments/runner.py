@@ -38,7 +38,7 @@ from pathlib import Path
 
 from ..io.serialization import atomic_write_json, to_jsonable
 from ..parallel import FileLock, Task, effective_jobs, run_tasks
-from ..parallel.executor import JOBS_ENV
+from ..parallel.worker import JOBS_ENV
 from .config import ExperimentScale, get_scale, scale_from_payload, scale_to_payload
 from .registry import ExperimentSpec, get_spec
 

@@ -1,16 +1,15 @@
-"""Process-pool execution layer for experiment sweeps.
-
-The subsystem has four small parts, composed by the experiment runner and the
-per-model grids inside individual experiments:
+"""Multi-process execution: experiment sweeps and the shared worker fleet.
 
 * :mod:`~repro.parallel.executor` — :func:`run_tasks` maps a list of
-  :class:`Task` descriptions over a ``ProcessPoolExecutor`` (or inline when
-  ``jobs <= 1``), retrying crashed tasks once and reporting per-task failures
-  instead of aborting the batch.
-* :mod:`~repro.parallel.worker` — the picklable worker entry point.  Tasks
+  :class:`Task` descriptions over ``repro-sweep-<rank>`` fleet workers (or
+  inline when ``jobs <= 1``) through one attempt loop, retrying failed tasks
+  and reporting per-task failures instead of aborting the batch.
+* :mod:`~repro.parallel.fleet` — ``WorkerFleet``, the one worker lifecycle
+  (spawn, ready ack, respawn-and-retry, stop) shared by the sweep executor,
+  the serving pool and the data-parallel trainer.
+* :mod:`~repro.parallel.worker` — the worker-side task entry point.  Tasks
   carry a dotted ``"module:function"`` reference plus primitive kwargs, so
-  nothing stateful (specs, models, closures) ever crosses the process
-  boundary; the worker re-imports and re-resolves everything by name.
+  nothing stateful ever crosses the process boundary.
 * :mod:`~repro.parallel.locks` — ``fcntl``-based advisory file locks (with a
   portable ``O_EXCL`` fallback) so concurrent workers coordinate through the
   artifact cache without double-training or torn writes.

@@ -1,4 +1,4 @@
-"""Map a batch of tasks over a process pool (or inline), with retries.
+"""Map a batch of tasks over a worker fleet (or inline), with retries.
 
 :func:`run_tasks` is the single entry point used both by the experiment
 runner (one task per experiment) and by the per-model grids inside one
@@ -7,44 +7,34 @@ experiment (one task per model).  Guarantees:
 * **Determinism** — results come back in submission order, and every task can
   be given a seed derived from a root seed plus its key, so ``jobs=1`` and
   ``jobs=N`` produce byte-identical outputs.
-* **Isolation** — ``jobs <= 1`` runs tasks inline through the *same*
-  :func:`~repro.parallel.worker.execute_task` code path; ``jobs > 1`` spawns
-  fresh interpreter processes (no inherited RNG or registry state).
+* **One attempt loop** — :func:`_run_one` drives every task through
+  :func:`~repro.parallel.worker.execute_task`: inline when ``jobs <= 1``,
+  else on long-lived ``repro-sweep-<rank>`` fleet workers (fresh
+  interpreters), one dispatcher thread each.  Callbacks run on the calling
+  thread, and each task emits the same event stream at every ``jobs``.
 * **Failure containment** — a task that raises is retried up to ``retries``
-  times and then reported as a failed :class:`TaskResult`; a worker process
-  that dies outright (segfault, ``os._exit``) breaks the pool, which is
-  rebuilt and the in-flight tasks retried.  One bad task never aborts the
-  batch.
-* **No nested pools** — tasks running inside a pool worker see
+  times, then reported as a failed :class:`TaskResult`.  A worker death is
+  charged to the task on that worker's pipe: the fleet respawns the worker
+  and reruns the task once; a second death fails it as ``worker process
+  crashed``.  One bad task never aborts the batch.
+* **No nested pools** — tasks running inside a worker see
   ``parallel_depth() > 0`` and their own fan-outs clamp to ``jobs=1``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+import queue
+import threading
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 from . import events as ev
 from .events import TaskEvent
+from .fleet import WorkerFleet, WorkerHandle, serve_worker
 from .seeding import derive_seed
-from .worker import DEPTH_ENV, execute_task, worker_initializer
+from .worker import effective_jobs, execute_task, parallel_depth
 
 __all__ = ["Task", "TaskResult", "ParallelTaskError", "run_tasks",
            "effective_jobs", "parallel_depth"]
-
-#: Environment variable naming the default worker count (set by the CLI so
-#: fan-outs deep inside experiment drivers inherit ``--jobs``).
-JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable selecting the multiprocessing start method.  The
-#: default is ``spawn``: workers start from a clean interpreter, which forces
-#: the re-resolve-by-name discipline and behaves identically on every
-#: platform (``fork`` would leak the parent's dynamically registered specs
-#: and global RNG state into the workers).
-START_METHOD_ENV = "REPRO_MP_START"
 
 
 @dataclass(frozen=True)
@@ -92,32 +82,6 @@ class ParallelTaskError(RuntimeError):
         super().__init__(f"{len(failures)} task(s) failed after retries:\n{details}")
 
 
-def parallel_depth() -> int:
-    """How many process-pool layers above this process (0 in the parent)."""
-    try:
-        return int(os.environ.get(DEPTH_ENV, "0"))
-    except ValueError:
-        return 0
-
-
-def effective_jobs(jobs: int | str | None = None) -> int:
-    """Resolve a requested worker count to a concrete, safe value.
-
-    ``None`` falls back to ``$REPRO_JOBS`` (default 1); ``"auto"`` or any
-    value ``<= 0`` means one worker per CPU.  Inside a pool worker the result
-    is clamped to 1 so nested fan-outs run sequentially.
-    """
-    if jobs is None:
-        jobs = os.environ.get(JOBS_ENV) or 1
-    if isinstance(jobs, str):
-        jobs = -1 if jobs.strip().lower() == "auto" else int(jobs)
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    if parallel_depth() > 0:
-        return 1
-    return int(jobs)
-
-
 def raise_on_failure(results: list[TaskResult]) -> list[TaskResult]:
     """Return ``results`` unchanged, raising :class:`ParallelTaskError` if any failed."""
     failures = [result for result in results if not result.ok]
@@ -151,123 +115,131 @@ def run_tasks(tasks: list[Task], jobs: int | str | None = 1, retries: int = 1,
     } for task in tasks]
 
     jobs = min(effective_jobs(jobs), max(len(tasks), 1))
-    if jobs <= 1:
-        return _run_inline(payloads, retries, emit, deliver)
-    return _run_pool(payloads, jobs, retries, emit, deliver)
-
-
-def _result_from_payload(raw: dict, index: int, attempts: int) -> TaskResult:
-    return TaskResult(key=raw["key"], index=index, ok=raw["ok"],
-                      value=raw.get("value"), error=raw.get("error"),
-                      traceback=raw.get("traceback"), attempts=attempts,
-                      elapsed_seconds=raw.get("elapsed_seconds", 0.0),
-                      pid=raw.get("pid"))
-
-
-def _run_inline(payloads: list[dict], retries: int, emit, deliver) -> list[TaskResult]:
-    """Sequential execution through the same worker code path as the pool."""
+    if jobs > 1:
+        return _run_pool(payloads, jobs, retries, emit, deliver)
     results = []
     for index, payload in enumerate(payloads):
-        attempt = 1
-        emit(TaskEvent(ev.SUBMITTED, payload["key"], attempt=attempt))
-        while True:
-            raw = execute_task(payload)
-            if raw["ok"] or attempt > retries:
-                break
-            emit(TaskEvent(ev.RETRYING, payload["key"], attempt=attempt,
-                           error=raw.get("error")))
-            attempt += 1
-        result = _result_from_payload(raw, index, attempt)
-        emit(TaskEvent(ev.COMPLETED if result.ok else ev.FAILED, result.key,
-                       attempt=attempt, elapsed_seconds=result.elapsed_seconds,
-                       pid=result.pid, error=result.error))
-        results.append(result)
-        deliver(result)
+        results.append(_run_one(payload, index, retries, emit, execute_task))
+        deliver(results[-1])
     return results
+
+
+def _run_one(payload: dict, index: int, retries: int, send, run) -> TaskResult:
+    """Run one task to its final result, sending its events through ``send``.
+
+    ``run(payload)`` makes one attempt and returns an :func:`execute_task`
+    result; a ``"crashed"`` flag (a worker death the fleet already retried on
+    a respawned worker) charges one more attempt.
+    """
+    key = payload["key"]
+    attempt = 1
+    send(TaskEvent(ev.SUBMITTED, key, attempt=attempt))
+    while True:
+        raw = run(payload)
+        if raw.get("crashed"):
+            send(TaskEvent(ev.RETRYING, key, attempt=attempt,
+                           error="worker process crashed"))
+            attempt += 1
+        if raw["ok"] or attempt > retries:
+            break
+        send(TaskEvent(ev.RETRYING, key, attempt=attempt, error=raw.get("error")))
+        attempt += 1
+    result = TaskResult(key=key, index=index, ok=raw["ok"], value=raw.get("value"),
+                        error=raw.get("error"), traceback=raw.get("traceback"),
+                        attempts=attempt, pid=raw.get("pid"),
+                        elapsed_seconds=raw.get("elapsed_seconds", 0.0))
+    send(TaskEvent(ev.COMPLETED if result.ok else ev.FAILED, key,
+                   attempt=attempt, elapsed_seconds=result.elapsed_seconds,
+                   pid=result.pid, error=result.error))
+    return result
+
+
+def _worker_main(rank: int, conn, config: dict) -> None:
+    """Entry point of one ``repro-sweep-<rank>`` worker process."""
+    serve_worker(conn, "sweep", rank, config, lambda config: None,
+                 {"run": lambda state, payload: execute_task(payload)})
+
+
+class _WorkerCrashed(RuntimeError):
+    """A sweep worker died twice on one task or could not be (re)started."""
+
+
+class _SweepFleet(WorkerFleet):
+    fleet_role = "sweep"
+    worker_label = "sweep worker"
+    work_unit = "task"
+    fleet_error = remote_error = _WorkerCrashed
+
+    def _worker_spec(self) -> tuple:
+        return _worker_main, {}
+
+    def _drive(self, handle: WorkerHandle, payloads: list[dict], pending,
+               retries: int, outcomes) -> None:
+        """Dispatcher thread: start ``handle``'s worker, run queued tasks on it.
+
+        Events, results and any error go to ``outcomes``, then a final ``None``.
+        """
+
+        def attempt(payload: dict) -> dict:
+            restarts = handle.restarts
+            try:
+                raw = self._call(handle, ("run", payload))
+            except _WorkerCrashed as error:
+                with handle.lock:  # the next task must not inherit a dead worker
+                    self._respawn(handle)
+                return {"key": payload["key"], "ok": False, "crashed": True,
+                        "error": f"worker process crashed: {error}"}
+            return {**raw, "crashed": handle.restarts > restarts}
+
+        try:
+            self._spawn(handle)
+            for index in iter(pending.get, None):
+                if self._closed:
+                    break
+                outcomes.put(_run_one(payloads[index], index, retries,
+                                      outcomes.put, attempt))
+        except BaseException as error:  # noqa: BLE001 — raised by the caller
+            outcomes.put(error)
+        finally:
+            outcomes.put(None)
 
 
 def _run_pool(payloads: list[dict], jobs: int, retries: int, emit,
               deliver) -> list[TaskResult]:
-    """Process-pool execution with per-task retry and broken-pool recovery.
-
-    A ``BrokenProcessPool`` error cannot be attributed to a task: when one
-    worker segfaults, *every* in-flight future fails with it.  So breakage in
-    a shared pool requeues the affected tasks **without charging an
-    attempt**, and the next round runs in *isolation mode* — one
-    single-worker pool per task — where a crash is unambiguously the task's
-    own fault and consumes its retry budget.  A repeatedly crashing task
-    therefore fails alone; innocent bystanders always get re-run.
-    """
-    start_method = os.environ.get(START_METHOD_ENV, "spawn")
-    context = get_context(start_method)
+    """Run ``payloads`` on a ``jobs``-worker fleet; callbacks stay on this thread."""
+    pending, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
+    for index in [*range(len(payloads)), *[None] * jobs]:
+        pending.put(index)
+    fleet = _SweepFleet()
+    # Each dispatcher spawns its own worker, so workers boot concurrently and
+    # the first one ready starts taking tasks at once.
+    fleet._workers = [WorkerHandle(rank) for rank in range(jobs)]
+    threads = [threading.Thread(target=fleet._drive,
+                                args=(handle, payloads, pending, retries, outcomes),
+                                name=f"repro-sweep-dispatch-{handle.rank}",
+                                daemon=True)
+               for handle in fleet._workers]
     results: dict[int, TaskResult] = {}
-    #: (payload index, attempt number) still to run.
-    pending: list[tuple[int, int]] = [(index, 1) for index in range(len(payloads))]
-    isolate = False
-
-    def record(result: TaskResult) -> None:
-        results[result.index] = result
-        deliver(result)
-
-    while pending:
-        retry_next: list[tuple[int, int]] = []
-        requeue_uncharged: list[tuple[int, int]] = []
-        groups = [[entry] for entry in pending] if isolate else [pending]
-        for group in groups:
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(group)), mp_context=context,
-                initializer=worker_initializer, initargs=(parallel_depth() + 1,))
-            try:
-                futures = {}
-                for index, attempt in group:
-                    futures[pool.submit(execute_task, payloads[index])] = (index, attempt)
-                    emit(TaskEvent(ev.SUBMITTED, payloads[index]["key"], attempt=attempt))
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, attempt = futures[future]
-                        key = payloads[index]["key"]
-                        error = future.exception()
-                        if error is None:
-                            raw = future.result()
-                            if not raw["ok"] and attempt <= retries:
-                                emit(TaskEvent(ev.RETRYING, key, attempt=attempt,
-                                               error=raw.get("error")))
-                                retry_next.append((index, attempt + 1))
-                            else:
-                                result = _result_from_payload(raw, index, attempt)
-                                emit(TaskEvent(
-                                    ev.COMPLETED if result.ok else ev.FAILED,
-                                    result.key, attempt=attempt,
-                                    elapsed_seconds=result.elapsed_seconds,
-                                    pid=result.pid, error=result.error))
-                                record(result)
-                            continue
-                        # The worker died without returning a payload.
-                        message = f"{type(error).__name__}: {error}"
-                        if isinstance(error, BrokenProcessPool) and not isolate:
-                            # Can't tell culprit from bystander in a shared
-                            # pool — re-run everyone, attempt uncharged, in
-                            # isolation next round.
-                            requeue_uncharged.append((index, attempt))
-                        elif attempt <= retries:
-                            emit(TaskEvent(ev.RETRYING, key, attempt=attempt,
-                                           error=message))
-                            retry_next.append((index, attempt + 1))
-                        else:
-                            result = TaskResult(
-                                key=key, index=index, ok=False,
-                                error=f"worker process crashed: {message}",
-                                attempts=attempt)
-                            emit(TaskEvent(ev.FAILED, key, attempt=attempt,
-                                           error=result.error))
-                            record(result)
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-
-        if requeue_uncharged:
-            isolate = True
-        pending = sorted(retry_next + requeue_uncharged)
-
+    try:
+        for thread in threads:
+            thread.start()
+        running = jobs
+        while running:
+            item = outcomes.get()
+            if item is None:
+                running -= 1
+            elif isinstance(item, TaskEvent):
+                emit(item)
+            elif isinstance(item, TaskResult):
+                results[item.index] = item
+                deliver(item)
+            else:
+                raise item
+    finally:
+        fleet._closed = True
+        fleet._stop_workers()  # unblocks any dispatcher waiting on its worker
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        fleet._stop_workers()  # reaps a worker respawned during the first stop
     return [results[index] for index in range(len(payloads))]

@@ -1,38 +1,31 @@
-"""One worker-process lifecycle: spawn, ready-ack, isolate-and-retry, stop.
+"""One worker-process lifecycle: spawn, ready-ack, respawn-and-retry, stop.
 
-The serving pool (:class:`~repro.serve.pool.ProcessPoolEngine`) and the
-data-parallel trainer (:class:`~repro.training.DataParallelTrainer`) both run
-N long-lived worker processes that hold expensive state (a loaded bundle, a
-built model) and answer request/response commands over a
-:class:`~multiprocessing.Pipe`.  This module is that lifecycle, written once:
+Three owners run N long-lived workers that answer commands over a
+:class:`~multiprocessing.Pipe`: the serving pool
+(:class:`~repro.serve.pool.ProcessPoolEngine`, ``repro-pool-<rank>``), the
+data-parallel trainer (:class:`~repro.training.DataParallelTrainer`,
+``repro-dp-<rank>``) and the sweep executor
+(:func:`~repro.parallel.executor.run_tasks`, ``repro-sweep-<rank>``).
 
 * **Parent side** — :class:`WorkerFleet`, a base class the owner inherits.
   It spawns workers (``REPRO_MP_START`` policy, default ``spawn``), waits for
-  each one's ready ack, and runs every command through :meth:`_call`, which
-  applies the sweep executor's **isolate-and-retry** policy: a broken pipe
-  or dead process marks the worker dead, it is respawned, and the command is
-  retried exactly once on the fresh process; a second death raises the
-  owner's error.  A *remote* error (the handler raised inside a healthy
-  worker) is raised at once and never retried — it would fail identically
-  everywhere.
+  each one's ready ack, and runs every command through :meth:`_call`.  Each
+  worker has its own pipe, so a death belongs to the one command on it: the
+  worker is respawned and that command alone retried once; a second death
+  raises the owner's error.  A *remote* error (the handler raised inside a
+  healthy worker) is raised at once and never retried.
 * **Child side** — :func:`serve_worker`, which the owner's ``worker_main``
   calls.  It tags the process with ``REPRO_PARALLEL_DEPTH`` (so anything
   inside sees ``effective_jobs() == 1`` and cannot spawn pools of pools),
   seeds it with ``derive_seed(seed, role, rank)``, builds the owner's state,
   and answers commands until told to stop.
 
-The wire protocol is one pickle per message in each direction:
-
-* child → parent, once: ``("ready", info)`` or ``("fatal", message,
-  traceback)`` when setup raised, so start failures carry the child's
-  traceback instead of hanging the parent;
-* parent → child: ``(command, *args)``; the reply is ``("ok", payload)`` or
-  ``("error", message, traceback)``;
-* parent → child: ``("stop",)`` ends the loop.
-
-Nothing here imports the serving or training stacks: the owner supplies its
-entry point, its configuration and its error classes, so a worker imports
-only the stack it serves.
+Wire protocol, one pickle per message: the child first sends ``("ready",
+info)``, or ``("fatal", message, traceback)`` when setup raised, so start
+failures carry the child's traceback; each ``(command, *args)`` gets
+``("ok", payload)`` or ``("error", message, traceback)``; ``("stop",)`` ends
+the loop.  Nothing here imports the serving, training or experiment stacks:
+the owner supplies its entry point, config and error classes.
 """
 
 from __future__ import annotations
@@ -42,9 +35,8 @@ import threading
 import traceback
 from multiprocessing import get_context
 
-from .executor import START_METHOD_ENV, effective_jobs, parallel_depth
 from .seeding import derive_seed, seed_task_globals
-from .worker import DEPTH_ENV
+from .worker import DEPTH_ENV, START_METHOD_ENV, effective_jobs, parallel_depth
 
 __all__ = ["WorkerFleet", "WorkerHandle", "serve_worker"]
 
@@ -76,7 +68,7 @@ class _WorkerDied(Exception):
 
 
 class WorkerFleet:
-    """Base class owning N worker processes and their isolate-and-retry calls.
+    """Base class owning N worker processes and their respawn-and-retry calls.
 
     The owner calls ``WorkerFleet.__init__(self)``, sets the class attributes
     below, and implements :meth:`_worker_spec`.  It reaches its workers
@@ -176,7 +168,7 @@ class WorkerFleet:
             handle.process = None
 
     def _respawn(self, handle: WorkerHandle) -> None:
-        """Isolate-and-retry step 1: replace a dead worker with a fresh one."""
+        """Respawn-and-retry step 1: replace a dead worker with a fresh one."""
         self._discard(handle)
         self._spawn(handle)
         handle.restarts += 1
@@ -202,7 +194,7 @@ class WorkerFleet:
     def _call(self, handle: WorkerHandle, message: tuple):
         """Run ``message`` on ``handle``'s worker and return its reply payload.
 
-        A dead worker or broken pipe triggers isolate-and-retry: respawn and
+        A dead worker or broken pipe triggers respawn-and-retry: respawn and
         retry exactly once; a second death raises :attr:`fleet_error`, and a
         death after close raises :attr:`closed_error`.  A remote error raises
         :attr:`remote_error` with the worker traceback, without a retry.
@@ -227,7 +219,7 @@ class WorkerFleet:
                         f"{label} died twice running the same "
                         f"{self.work_unit} (retried once on a respawned "
                         f"worker); giving up on it") from error
-                try:  # isolate-and-retry: fresh worker, one more attempt
+                try:  # respawn-and-retry: fresh worker, one more attempt
                     with handle.lock:
                         self._respawn(handle)
                 except self.fleet_error as spawn_error:

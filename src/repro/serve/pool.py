@@ -21,7 +21,7 @@ instead of competing**:
 
 Workers run :func:`worker_main` on the shared worker lifecycle of
 :mod:`repro.parallel.fleet` (spawn, ready ack, depth tagging, seeding with
-``derive_seed(seed, "serve-pool", rank)``, isolate-and-retry).  Each loads
+``derive_seed(seed, "serve-pool", rank)``, respawn-and-retry).  Each loads
 the bundle **by path** into its own :class:`~repro.serve.InferenceSession`,
 so nothing unpicklable crosses the process boundary and every worker warms
 its own plan cache.  Model weights come from the bundle and inference draws

@@ -28,7 +28,7 @@ machine size silently chooses.  (Same honest boundary as the serving stack's
 deliver.)
 
 Worker processes run on the shared lifecycle of :mod:`repro.parallel.fleet`
-(isolate-and-retry: a worker that dies mid-step is respawned and its shard
+(respawn-and-retry: a worker that dies mid-step is respawned and its shard
 retried exactly once).  Every step message carries the parent's full
 ``state_dict``, so workers are stateless between steps and the retry
 computes the same bytes the dead worker would have; a second death raises

@@ -8,11 +8,13 @@ writes a helper module to a temp directory; per-test fixtures put it on
 so both the parent and fresh worker interpreters can resolve everything.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -86,6 +88,22 @@ def always_fail(**_ignored):
 
 def hard_crash():
     os._exit(13)  # simulates a segfaulted / OOM-killed worker
+
+
+def _log_run(log, key):
+    with open(log, "a") as handle:
+        handle.write(f"{key} {os.getpid()}\\n")
+
+
+def logged_crash(log):
+    _log_run(log, "crash")
+    os._exit(13)
+
+
+def logged_sleep(log, key, delay=0.3):
+    _log_run(log, key)
+    time.sleep(delay)
+    return key
 
 
 def grid_cell(scale, depth):
@@ -325,6 +343,92 @@ class TestProcessPool:
                       kwargs={"jobs": 8}) for i in range(2)]
         results = run_tasks(tasks, jobs=2)
         assert all(result.ok and result.value == 1 for result in results)
+
+
+class TestSweepFleet:
+    """The pool path runs on ``repro-sweep-<rank>`` fleet workers."""
+
+    def test_invalid_jobs_names_the_bad_input(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv(DEPTH_ENV, raising=False)
+        for bad in ("abc", "1.5", "two workers"):
+            with pytest.raises(ValueError, match=r"--jobs must be an integer "
+                                                 r"or 'auto'") as raised:
+                effective_jobs(bad)
+            assert repr(bad) in str(raised.value)
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        with pytest.raises(ValueError, match=r"\$REPRO_JOBS must be an integer "
+                                             r"or 'auto', got 'two'"):
+            effective_jobs(None)
+        assert effective_jobs(" AUTO ") == (os.cpu_count() or 1)
+        assert effective_jobs("-1") == (os.cpu_count() or 1)
+
+    def test_crash_is_charged_only_to_its_own_task(self, helper_env, tmp_path):
+        log = tmp_path / "runs.log"
+        tasks = [Task(key="crash", fn=ref("logged_crash"), kwargs={"log": str(log)})]
+        tasks += [Task(key=f"slow{i}", fn=ref("logged_sleep"),
+                       kwargs={"log": str(log), "key": f"slow{i}"}) for i in range(5)]
+        results = run_tasks(tasks, jobs=2, retries=1)
+        runs = [line.split() for line in log.read_text().splitlines()]
+        counts = Counter(key for key, _ in runs)
+        assert counts["crash"] == 2
+        assert all(counts[task.key] == 1 for task in tasks[1:])
+        assert len({pid for key, pid in runs if key != "crash"}) <= 2 + 1
+        crash, *innocent = results
+        assert not crash.ok and crash.attempts == 2
+        assert "worker process crashed" in crash.error
+        assert all(result.ok and result.attempts == 1 for result in innocent)
+
+    def test_event_stream_is_the_same_inline_and_pooled(self, helper_env, tmp_path):
+        def kinds(jobs, extra=()):
+            events, threads = [], set()
+
+            def on_event(event):
+                events.append(event)
+                threads.add(threading.current_thread())
+
+            tasks = [Task(key="transient", fn=ref("fail_until"),
+                          kwargs={"marker_path": str(tmp_path / f"m{jobs}{len(extra)}"),
+                                  "attempts_needed": 1}),
+                     Task(key="broken", fn=ref("always_fail")),
+                     Task(key="fine", fn=ref("square"), kwargs={"x": 6}), *extra]
+            run_tasks(tasks, jobs=jobs, retries=1, on_event=on_event)
+            assert threads == {threading.current_thread()}
+            return {task.key: [event.kind for event in events if event.key == task.key]
+                    for task in tasks}
+
+        inline = kinds(1)
+        assert inline == kinds(2)
+        assert inline == {"transient": ["submitted", "retrying", "completed"],
+                          "broken": ["submitted", "retrying", "failed"],
+                          "fine": ["submitted", "completed"]}
+        crashed = kinds(2, [Task(key="crash", fn=ref("hard_crash"))])
+        assert crashed == {**inline, "crash": ["submitted", "retrying", "failed"]}
+
+    @pytest.mark.parametrize("case", ["normal", "crash", "on_result_raises"])
+    def test_no_leaked_workers_or_threads(self, helper_env, case):
+        def repro_threads():
+            return sum(thread.name.startswith("repro-")
+                       for thread in threading.enumerate())
+
+        children = {child.pid for child in multiprocessing.active_children()}
+        threads = repro_threads()
+        tasks = [Task(key=f"t{i}", fn=ref("slow_square"),
+                      kwargs={"x": i, "delay": 0.1}) for i in range(4)]
+        if case == "crash":
+            tasks.append(Task(key="crash", fn=ref("hard_crash")))
+        if case == "on_result_raises":
+            def on_result(result):
+                raise RuntimeError("reporter exploded")
+
+            with pytest.raises(RuntimeError, match="reporter exploded"):
+                run_tasks(tasks, jobs=2, on_result=on_result)
+        else:
+            results = run_tasks(tasks, jobs=2)
+            assert [result.ok for result in results] == \
+                [True] * 4 + [False] * (case == "crash")
+        assert {child.pid for child in multiprocessing.active_children()} == children
+        assert repro_threads() == threads
 
 
 class TestRunnerParallel:
