@@ -327,9 +327,12 @@ class Transformer(nn.Module):
         attention = self.decoder_layers[0].self_attention
         max_len = self.max_len if max_len is None else min(int(max_len), self.max_len)
         src_capacity = min(int(src_capacity or self.max_len), self.max_len)
-        # The embedding scale np.sqrt(model_dim) is a float64 scalar, so the
-        # whole forward computes in the promoted dtype — caches must match it
-        # exactly for the byte-identity guarantee to hold.
+        # The embedding scale np.sqrt(model_dim) is a strong float64 NumPy
+        # scalar (only Python scalars are weak at apply_op), so the whole
+        # forward computes in the promoted dtype — caches must match it
+        # exactly for the byte-identity guarantee to hold.  The transformer
+        # stays float64 by choice: moving it to float32 means re-verifying
+        # decode_step's gemm-blocking argument for sgemm.
         weights = self.tgt_embedding.weight.data
         dtype = np.result_type(weights.dtype, np.sqrt(self.model_dim))
         kwargs = {} if initial_capacity is None else \

@@ -186,11 +186,36 @@ def _emit_timing(name: str, seconds: float) -> None:
 # Forward dispatch
 # ---------------------------------------------------------------------------
 
+def _wrap_constants(inputs: tuple, tensor_cls) -> tuple:
+    """Wrap every non-Tensor operand of one dispatch as a constant Tensor.
+
+    Every operand is looked at, not only the first: ``__rsub__`` and
+    ``__rtruediv__`` pass the scalar first.  ``type(v) in (float, int)``
+    leaves out ``bool`` and ``np.float64``, which subclass them.
+    """
+    weak_dtype = None
+    for v in inputs:
+        if isinstance(v, tensor_cls) and v.data.dtype.kind == "f":
+            dtype = v.data.dtype
+            weak_dtype = dtype if weak_dtype is None else np.promote_types(weak_dtype, dtype)
+    return tuple(v if isinstance(v, tensor_cls)
+                 else tensor_cls(np.asarray(v, dtype=weak_dtype))
+                 if weak_dtype is not None and type(v) in (float, int)
+                 else tensor_cls(v)
+                 for v in inputs)
+
+
 def apply_op(name: str, *inputs, **kwargs):
     """Execute registered op ``name`` on ``inputs`` and return a new Tensor.
 
     Non-Tensor inputs (scalars, NumPy arrays) are wrapped as constant
-    tensors.  Non-array configuration (axes, strides, …) travels through
+    tensors.  Python ``float`` and ``int`` operands are *weak*, as NumPy 2
+    treats them (NEP 50): each takes the dtype its floating Tensor operands
+    promote to, so ``x * 0.5`` and ``1.0 - x`` keep a float32 ``x`` in
+    float32 and a float64 one in float64.  Everything else is strong and is
+    wrapped as ``Tensor(v)``: ``bool``, NumPy scalars such as
+    ``np.float64(0.5)``, arrays, and a Python scalar with no floating Tensor
+    beside it.  Non-array configuration (axes, strides, …) travels through
     ``kwargs`` and is available to the VJP via the node's context.
     """
     opdef = get_op(name)
@@ -200,8 +225,7 @@ def apply_op(name: str, *inputs, **kwargs):
     # rebuild and reuse the argument tuple as-is.
     for value in inputs:
         if not isinstance(value, tensor_cls):
-            tensors = tuple(v if isinstance(v, tensor_cls) else tensor_cls(v)
-                            for v in inputs)
+            tensors = _wrap_constants(inputs, tensor_cls)
             break
     else:
         tensors = inputs

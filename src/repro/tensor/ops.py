@@ -45,6 +45,7 @@ cached im2col column buffer between inference calls.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -319,7 +320,8 @@ def _matmul_vjp(ctx, grad, needs):
         elif b.ndim == 1:
             grad_a = grad[..., None] * b
         elif a.ndim == 1:
-            grad_a = np.einsum("...ij,...j->i", b, grad)
+            # grad_a[i] = sum over (..., j) of b[..., i, j] * grad[..., j]
+            grad_a = np.moveaxis(b, -2, 0).reshape(a.shape[0], -1) @ grad.reshape(-1)
         else:
             grad_a = unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
     if needs[1]:
@@ -328,7 +330,8 @@ def _matmul_vjp(ctx, grad, needs):
         elif a.ndim == 1:
             grad_b = a[:, None] * grad[..., None, :]
         elif b.ndim == 1:
-            grad_b = np.einsum("...ij,...i->j", a, grad)
+            # grad_b[j] = sum over (..., i) of a[..., i, j] * grad[..., i]
+            grad_b = a.reshape(-1, b.shape[0]).T @ grad.reshape(-1)
         else:
             grad_b = unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
     return grad_a, grad_b
@@ -506,15 +509,15 @@ register_op("relu", _relu_fw, _relu_vjp,
 
 
 def _gelu_fw(ctx, a):
-    cdf = 0.5 * (1.0 + special.erf(a / np.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + special.erf(a / math.sqrt(2.0)))
     if ctx.requires_grad:
-        pdf = np.exp(-0.5 * a ** 2) / np.sqrt(2.0 * np.pi)
+        pdf = np.exp(-0.5 * a ** 2) / math.sqrt(2.0 * math.pi)
         ctx.saved = cdf + a * pdf
     return a * cdf
 
 
 def _gelu_out(out, a):
-    cdf = 0.5 * (1.0 + special.erf(a / np.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + special.erf(a / math.sqrt(2.0)))
     np.multiply(a, cdf, out=out)
 
 
@@ -932,6 +935,20 @@ register_op("unfold", _unfold_fw, _unfold_vjp,
                                 {"kernel_size": 3, "stride": 2, "padding": 1}))
 
 
+def _weight_grad(grad_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``sum_n grad_t[n] @ cols[n]``: a conv filter bank's weight gradient.
+
+    ``grad_t`` is ``(N, C_out, OH·OW)`` and ``cols`` the im2col patches
+    ``(N, OH, OW, C·K·K)``.  One BLAS gemm per sample, then a sum: a single
+    gemm over all ``N·OH·OW`` rows has a long reduction axis, which
+    multithreaded OpenBLAS splits into many synchronised rounds, and on
+    shared cores (two data-parallel workers on two) that ran 3x slower than
+    the ``einsum`` it replaces.
+    """
+    n = cols.shape[0]
+    return np.matmul(grad_t, cols.reshape(n, -1, cols.shape[-1])).sum(axis=0)
+
+
 def _conv2d_fw(ctx, x, weight, bias=None, stride=1, padding=0):
     n, c_in, height, width = x.shape
     c_out, c_in_w, k_h, k_w = weight.shape
@@ -962,7 +979,8 @@ def _conv2d_vjp(ctx, grad, needs):
         grad_cols = grad_view @ flat_weight                  # (N, OH, OW, C*K*K)
         grad_x = col2im(grad_cols, x.shape, kernel_size, stride, padding)
     if needs[1]:
-        grad_w = np.einsum("nhwo,nhwi->oi", grad_view, cols).reshape(weight.shape)
+        grad_w = _weight_grad(grad.reshape(grad.shape[0], grad.shape[1], -1),
+                              cols).reshape(weight.shape)
     if has_bias and needs[2]:
         grad_b = grad_view.sum(axis=(0, 1, 2))
     return (grad_x, grad_w, grad_b) if has_bias else (grad_x, grad_w)
@@ -1068,15 +1086,15 @@ def _layer_norm_fw(ctx, x, weight, bias, *, eps):
     """Layer normalization over the last axis, ``(x - μ) / √(σ² + eps) · w + b``.
 
     Repeats the numpy sequence of the 11-primitive composition it replaces:
-    each mean is a ``sum`` times the 0-d float64 constant ``1/n``, and
-    ``eps`` is added as a 0-d array.  Those 0-d float64 operands promote a
-    float32 input, so the output is float64 — kept, because the bytes of
-    every output and gradient must equal the composition's.
+    each mean is a ``sum`` times the Python float ``1/n``, and ``eps`` is
+    added as a Python float.  Both are weak scalars there (see
+    :func:`repro.tensor.engine.apply_op`) and here (NumPy 2), so they take
+    the input's dtype: a float32 input stays float32, and the bytes of every
+    output and gradient equal the composition's.
     """
-    inv_n = np.asarray(1.0 / x.shape[-1])
+    inv_n = 1.0 / x.shape[-1]
     centered = x - x.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n
-                  + np.asarray(eps))
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
     normalized = centered / std
     if ctx.requires_grad:
         ctx.saved = (centered, std, normalized)
@@ -1094,7 +1112,7 @@ def _layer_norm_vjp(ctx, grad, needs):
     centered, std, normalized = ctx.saved
     grad_x = grad_w = grad_b = None
     if needs[0]:
-        inv_n = np.asarray(1.0 / x.shape[-1])
+        inv_n = 1.0 / x.shape[-1]
         grad_normalized = unbroadcast(grad * weight, normalized.shape)
         grad_std = unbroadcast(-grad_normalized * centered / (std ** 2), std.shape)
         # sqrt, then the eps add and the variance's mean pass it through.
@@ -1145,9 +1163,12 @@ def _quadratic_form_vjp(ctx, grad, needs):
     if needs[0]:
         proj = ctx.saved                                       # sum_i x_i M_oij
         proj_t = np.tensordot(x2, matrices, axes=([1], [2]))   # sum_j M_oij x_j
-        grad_x = np.einsum("bo,boj->bj", grad2, proj + proj_t).reshape(x.shape)
+        grad_x = (grad2[:, None, :] @ (proj + proj_t))[:, 0].reshape(x.shape)
     if needs[1]:
-        grad_m = np.einsum("bo,bi,bj->oij", grad2, x2, x2)
+        # grad_m[o, i, j] = sum_b (grad2[b, o] * x2[b, i]) * x2[b, j]: one
+        # gemm, with a (b, o·i) temporary rather than a (b, i·j) one.
+        weighted = (grad2[:, :, None] * x2[:, None, :]).reshape(x2.shape[0], -1)
+        grad_m = (weighted.T @ x2).reshape(matrices.shape)
     return (grad_x, grad_m)
 
 
@@ -1295,7 +1316,8 @@ def _quadratic_conv2d_vjp(ctx, grad, needs):
         grad_cols = grad_stacked @ stacked                       # (N, OH, OW, C*K*K)
         grad_x = col2im(grad_cols, x.shape, kernel_size, stride, padding)
     if needs[1] or needs[2]:
-        grad_bank = np.einsum("nhwo,nhwi->oi", grad_stacked, cols)
+        grad_rows = grad_stacked.reshape(grad_stacked.shape[0], -1, grad_stacked.shape[-1])
+        grad_bank = _weight_grad(grad_rows.transpose(0, 2, 1), cols)  # (m + m*k, C*K*K)
         if needs[1]:
             grad_w = grad_bank[:m].reshape(weight.shape)
         if needs[2]:
