@@ -27,6 +27,7 @@ import os
 import platform
 import statistics
 import subprocess
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -67,6 +68,55 @@ def time_callable(function, rounds: int = 10, warmup: int = 1) -> dict:
         "stddev_seconds": statistics.stdev(samples) if len(samples) > 1 else 0.0,
         "rounds": rounds,
     }
+
+
+def _speedup(slow: dict, fast: dict) -> dict:
+    """``speedup`` (mean) and ``speedup_best`` (best-of-rounds) of ``fast``
+    over ``slow``, two :func:`time_callable` results; empty when ``fast``
+    timed zero."""
+    if fast["mean_seconds"] <= 0 or fast["min_seconds"] <= 0:
+        return {}
+    return {"speedup": slow["mean_seconds"] / fast["mean_seconds"],
+            "speedup_best": slow["min_seconds"] / fast["min_seconds"]}
+
+
+def _storm(engine, inputs: np.ndarray, clients: int, requests_per_client: int,
+           histogram=None) -> None:
+    """Closed-loop burst: ``clients`` threads start together, each submits
+    ``requests_per_client`` requests of ``inputs`` and then awaits them.
+
+    ``histogram`` (optional) records each request's submit → done latency.
+    The first client error is re-raised.
+    """
+    barrier = threading.Barrier(clients)
+    errors: list[Exception] = []
+
+    def client():
+        try:
+            barrier.wait()
+            futures = []
+            for _ in range(requests_per_client):
+                submitted = time.perf_counter()
+                future = engine.submit(inputs)
+                if histogram is not None:
+                    # Completion callback, not result(): per-request latency
+                    # is submit → done, independent of await order.
+                    future.add_done_callback(
+                        lambda f, t0=submitted: histogram.record(
+                            time.perf_counter() - t0))
+                futures.append(future)
+            for future in futures:
+                future.result(timeout=300)
+        except Exception as error:  # noqa: BLE001 — re-raised below
+            errors.append(error)
+
+    threads = [threading.Thread(target=client) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _default_worker_counts() -> tuple[int, ...]:
@@ -118,13 +168,10 @@ def fused_kernel_benchmarks(rounds: int = 30, warmup: int = 3) -> tuple[dict, di
             fused_ops[FUSED_BENCH_KEYS[kind, fused]] = time_callable(
                 lambda layer=layer, x=x, forward=forward: train_step(layer, x, forward),
                 rounds=rounds, warmup=warmup)
-        fused_stats = fused_ops[FUSED_BENCH_KEYS[kind, True]]
-        unfused_stats = fused_ops[FUSED_BENCH_KEYS[kind, False]]
-        if fused_stats["mean_seconds"] > 0 and fused_stats["min_seconds"] > 0:
-            speedups[f"quadratic_{kind}_speedup"] = (
-                unfused_stats["mean_seconds"] / fused_stats["mean_seconds"])
-            speedups[f"quadratic_{kind}_speedup_best"] = (
-                unfused_stats["min_seconds"] / fused_stats["min_seconds"])
+        ratios = _speedup(fused_ops[FUSED_BENCH_KEYS[kind, False]],
+                          fused_ops[FUSED_BENCH_KEYS[kind, True]])
+        for name, ratio in ratios.items():
+            speedups[f"quadratic_{kind}_{name}"] = ratio
     return fused_ops, speedups
 
 
@@ -157,16 +204,13 @@ def inference_benchmarks(rounds: int = 5, warmup: int = 2,
         lambda: [session.predict(inputs[index:index + 1])
                  for index in range(batch_size)],
         rounds=rounds, warmup=warmup)
-    result = {
+    return {
         "model": "simple_cnn/proposed",
         "batch_size": batch_size,
         "batched": batched,
         "per_sample": per_sample,
+        **_speedup(per_sample, batched),
     }
-    if batched["mean_seconds"] > 0 and batched["min_seconds"] > 0:
-        result["speedup"] = per_sample["mean_seconds"] / batched["mean_seconds"]
-        result["speedup_best"] = per_sample["min_seconds"] / batched["min_seconds"]
-    return result
 
 
 def serving_benchmarks(rounds: int = 3, warmup: int = 1, clients: int = 8,
@@ -182,8 +226,6 @@ def serving_benchmarks(rounds: int = 3, warmup: int = 1, clients: int = 8,
     engines and their ratio land in ``BENCH_autograd.json`` under
     ``serving`` (CI floor: 2x at 8 clients).
     """
-    import threading
-
     from .models import SimpleCNN
     from .serve import BatchedEngine, DirectEngine, InferenceSession
     from .serve.metrics import LatencyHistogram
@@ -193,36 +235,6 @@ def serving_benchmarks(rounds: int = 3, warmup: int = 1, clients: int = 8,
     sample = np.random.default_rng(1).standard_normal((1, 3, 16, 16)) \
         .astype(np.float32)
     total_requests = clients * requests_per_client
-
-    def storm(engine, histogram):
-        barrier = threading.Barrier(clients)
-        errors: list[Exception] = []
-
-        def client():
-            try:
-                barrier.wait()
-                futures = []
-                for _ in range(requests_per_client):
-                    submitted = time.perf_counter()
-                    future = engine.submit(sample)
-                    # Completion callback, not result(): per-request latency
-                    # is submit → done, independent of await order.
-                    future.add_done_callback(
-                        lambda f, t0=submitted: histogram.record(
-                            time.perf_counter() - t0))
-                    futures.append(future)
-                for future in futures:
-                    future.result(timeout=120)
-            except Exception as error:  # noqa: BLE001 — re-raised below
-                errors.append(error)
-
-        threads = [threading.Thread(target=client) for _ in range(clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
 
     # compile=False on both sides: this micro isolates the scheduling layer
     # (queue/coalesce/demux vs serialized one-row forwards); plan compilation
@@ -240,10 +252,12 @@ def serving_benchmarks(rounds: int = 3, warmup: int = 1, clients: int = 8,
     direct_latency = LatencyHistogram()
     batched_latency = LatencyHistogram()
     try:
-        direct = time_callable(lambda: storm(direct_engine, direct_latency),
-                               rounds=rounds, warmup=warmup)
-        batched = time_callable(lambda: storm(batched_engine, batched_latency),
-                                rounds=rounds, warmup=warmup)
+        direct = time_callable(
+            lambda: _storm(direct_engine, sample, clients, requests_per_client,
+                           direct_latency), rounds=rounds, warmup=warmup)
+        batched = time_callable(
+            lambda: _storm(batched_engine, sample, clients, requests_per_client,
+                           batched_latency), rounds=rounds, warmup=warmup)
         batched_stats = batched_engine.stats()
     finally:
         batched_engine.close()
@@ -254,7 +268,7 @@ def serving_benchmarks(rounds: int = 3, warmup: int = 1, clients: int = 8,
         return {key: summary[key]
                 for key in ("count", "mean_ms", "p50_ms", "p95_ms", "p99_ms")}
 
-    result = {
+    return {
         "model": "simple_cnn/proposed",
         "clients": clients,
         "requests_per_client": requests_per_client,
@@ -266,11 +280,8 @@ def serving_benchmarks(rounds: int = 3, warmup: int = 1, clients: int = 8,
         "direct_latency": _percentiles(direct_latency),
         "batched_latency": _percentiles(batched_latency),
         "mean_batch_rows": batched_stats["mean_batch_rows"],
+        **_speedup(direct, batched),
     }
-    if batched["mean_seconds"] > 0 and batched["min_seconds"] > 0:
-        result["speedup"] = direct["mean_seconds"] / batched["mean_seconds"]
-        result["speedup_best"] = direct["min_seconds"] / batched["min_seconds"]
-    return result
 
 
 def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
@@ -296,7 +307,6 @@ def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
     the recorded curve will honestly say so.
     """
     import tempfile
-    import threading
     from pathlib import Path
 
     from .io.bundle import save_bundle
@@ -311,32 +321,11 @@ def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
     total_requests = clients * requests_per_client
     total_rows = total_requests * rows_per_request
 
-    def storm(engine):
-        barrier = threading.Barrier(clients)
-        errors: list[Exception] = []
-
-        def client():
-            try:
-                barrier.wait()
-                futures = [engine.submit(request)
-                           for _ in range(requests_per_client)]
-                for future in futures:
-                    future.result(timeout=300)
-            except Exception as error:  # noqa: BLE001 — re-raised below
-                errors.append(error)
-
-        threads = [threading.Thread(target=client) for _ in range(clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-
     def measure(engine) -> dict:
         try:
-            timing = time_callable(lambda: storm(engine),
-                                   rounds=rounds, warmup=warmup)
+            timing = time_callable(
+                lambda: _storm(engine, request, clients, requests_per_client),
+                rounds=rounds, warmup=warmup)
         finally:
             engine.close()
         timing["rows_per_second"] = total_rows / timing["mean_seconds"]
@@ -363,7 +352,7 @@ def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
             engine.warm((3, 16, 16))
             pools[str(workers)] = measure(engine)
 
-    result = {
+    return {
         "model": "simple_cnn/proposed",
         "clients": clients,
         "requests_per_client": requests_per_client,
@@ -371,12 +360,8 @@ def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
         "worker_counts": list(worker_counts),
         "batched": batched,
         "workers": pools,
+        **_speedup(batched, pools[str(max(worker_counts))]),
     }
-    top = pools[str(max(worker_counts))]
-    if batched["mean_seconds"] > 0 and batched["min_seconds"] > 0:
-        result["speedup"] = batched["mean_seconds"] / top["mean_seconds"]
-        result["speedup_best"] = batched["min_seconds"] / top["min_seconds"]
-    return result
 
 
 def trace_benchmarks(rounds: int = 100, warmup: int = 10,
@@ -417,12 +402,8 @@ def trace_benchmarks(rounds: int = 100, warmup: int = 10,
                         rounds=rounds, warmup=warmup)
                     traced = time_callable(lambda: plan.replay(inputs),
                                            rounds=rounds, warmup=warmup)
-                entry = {"dispatched": dispatched, "traced": traced}
-                if traced["mean_seconds"] > 0 and traced["min_seconds"] > 0:
-                    entry["speedup"] = (dispatched["mean_seconds"]
-                                        / traced["mean_seconds"])
-                    entry["speedup_best"] = (dispatched["min_seconds"]
-                                             / traced["min_seconds"])
+                entry = {"dispatched": dispatched, "traced": traced,
+                         **_speedup(dispatched, traced)}
                 plan_info = {k: v for k, v in plan.describe().items()
                              if k != "replays"}
             batches[str(batch)] = entry
@@ -492,7 +473,7 @@ def generation_benchmarks(rounds: int = 3, warmup: int = 1, batch: int = 16,
     incremental_stats = time_callable(incremental, rounds=rounds, warmup=warmup)
     reference_stats = time_callable(reference, rounds=rounds, warmup=warmup)
     tokens_per_round = batch * steps
-    result = {
+    return {
         "model": "transformer/proposed",
         "batch": batch,
         "max_len": max_len,
@@ -503,14 +484,8 @@ def generation_benchmarks(rounds: int = 3, warmup: int = 1, batch: int = 16,
             tokens_per_round / incremental_stats["mean_seconds"],
         "reference_tokens_per_second":
             tokens_per_round / reference_stats["mean_seconds"],
+        **_speedup(reference_stats, incremental_stats),
     }
-    if incremental_stats["mean_seconds"] > 0 and \
-            incremental_stats["min_seconds"] > 0:
-        result["speedup"] = (reference_stats["mean_seconds"]
-                             / incremental_stats["mean_seconds"])
-        result["speedup_best"] = (reference_stats["min_seconds"]
-                                  / incremental_stats["min_seconds"])
-    return result
 
 
 def training_benchmarks(rounds: int = 2, warmup: int = 1, world_size: int = 4,
@@ -566,20 +541,16 @@ def training_benchmarks(rounds: int = 2, warmup: int = 1, world_size: int = 4,
         return timing
 
     results = {str(workers): measure(workers) for workers in worker_counts}
-    result = {
+    return {
         "model": "simple_cnn/proposed",
         "world_size": world_size,
         "batch_size": batch_size,
         "batches": batches,
         "worker_counts": list(worker_counts),
         "workers": results,
+        **_speedup(results[str(min(worker_counts))],
+                   results[str(max(worker_counts))]),
     }
-    base = results[str(min(worker_counts))]
-    top = results[str(max(worker_counts))]
-    if top["mean_seconds"] > 0 and top["min_seconds"] > 0:
-        result["speedup"] = base["mean_seconds"] / top["mean_seconds"]
-        result["speedup_best"] = base["min_seconds"] / top["min_seconds"]
-    return result
 
 
 def benchmark_experiments(names: list[str], scale: str = "smoke",
@@ -728,19 +699,30 @@ def select(micros: str | None, gates: list[str]) -> tuple[list[str], dict]:
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _git(*args: str) -> str:
+    """Output of ``git <args>`` run beside this file; ``""`` when it fails."""
+    try:
+        return subprocess.run(["git", *args],
+                              cwd=os.path.dirname(os.path.abspath(__file__)),
+                              text=True, capture_output=True,
+                              timeout=10).stdout.strip()
+    except (OSError, subprocess.TimeoutExpired):
+        return ""
+
+
 def environment() -> dict:
-    """What a run's numbers depend on: cores, BLAS, numpy, interpreter, commit."""
+    """What a run's numbers depend on: cores, BLAS, numpy, interpreter, commit.
+
+    ``git_dirty`` is true when the tree differs from ``git_sha`` (modified or
+    untracked files), so such numbers are not read as the commit's own, and
+    ``None`` outside a git checkout.
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except Exception:  # noqa: BLE001 — older numpy: record what is known
         blas = {"name": "unknown", "version": "unknown"}
-    try:
-        sha = subprocess.run(["git", "rev-parse", "HEAD"],
-                             cwd=os.path.dirname(os.path.abspath(__file__)),
-                             text=True, capture_output=True, timeout=10).stdout.strip()
-    except (OSError, subprocess.TimeoutExpired):
-        sha = ""
+    sha = _git("rev-parse", "HEAD")
     return {
         "nproc": os.cpu_count() or 1,
         "blas": blas,
@@ -749,6 +731,7 @@ def environment() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "git_sha": sha or "not a git checkout",
+        "git_dirty": bool(_git("status", "--porcelain")) if sha else None,
     }
 
 

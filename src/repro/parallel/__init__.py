@@ -5,8 +5,9 @@
   inline when ``jobs <= 1``) through one attempt loop, retrying failed tasks
   and reporting per-task failures instead of aborting the batch.
 * :mod:`~repro.parallel.fleet` — ``WorkerFleet``, the one worker lifecycle
-  (spawn, ready ack, respawn-and-retry, stop) shared by the sweep executor,
-  the serving pool and the data-parallel trainer.
+  and dispatch loop (boot, ready ack, job dispatch, respawn-and-retry, stop)
+  shared by the sweep executor, the serving pool and the data-parallel
+  trainer.
 * :mod:`~repro.parallel.worker` — the worker-side task entry point.  Tasks
   carry a dotted ``"module:function"`` reference plus primitive kwargs, so
   nothing stateful ever crosses the process boundary.

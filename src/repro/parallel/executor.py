@@ -9,9 +9,9 @@ experiment (one task per model).  Guarantees:
   ``jobs=N`` produce byte-identical outputs.
 * **One attempt loop** — :func:`_run_one` drives every task through
   :func:`~repro.parallel.worker.execute_task`: inline when ``jobs <= 1``,
-  else on long-lived ``repro-sweep-<rank>`` fleet workers (fresh
-  interpreters), one dispatcher thread each.  Callbacks run on the calling
-  thread, and each task emits the same event stream at every ``jobs``.
+  else as one job on a fleet of long-lived ``repro-sweep-<rank>`` workers
+  (fresh interpreters).  Callbacks run on the calling thread, and each task
+  emits the same event stream at every ``jobs``.
 * **Failure containment** — a task that raises is retried up to ``retries``
   times, then reported as a failed :class:`TaskResult`.  A worker death is
   charged to the task on that worker's pipe: the fleet respawns the worker
@@ -24,8 +24,8 @@ experiment (one task per model).  Guarantees:
 from __future__ import annotations
 
 import queue
-import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import events as ev
 from .events import TaskEvent
@@ -173,73 +173,40 @@ class _SweepFleet(WorkerFleet):
     def _worker_spec(self) -> tuple:
         return _worker_main, {}
 
-    def _drive(self, handle: WorkerHandle, payloads: list[dict], pending,
-               retries: int, outcomes) -> None:
-        """Dispatcher thread: start ``handle``'s worker, run queued tasks on it.
-
-        Events, results and any error go to ``outcomes``, then a final ``None``.
-        """
-
-        def attempt(payload: dict) -> dict:
-            restarts = handle.restarts
-            try:
-                raw = self._call(handle, ("run", payload))
-            except _WorkerCrashed as error:
-                with handle.lock:  # the next task must not inherit a dead worker
-                    self._respawn(handle)
-                return {"key": payload["key"], "ok": False, "crashed": True,
-                        "error": f"worker process crashed: {error}"}
-            return {**raw, "crashed": handle.restarts > restarts}
-
+    def _attempt(self, handle: WorkerHandle, payload: dict) -> dict:
+        """One attempt of a task on ``handle``'s worker, for :func:`_run_one`."""
+        restarts = handle.restarts
         try:
-            self._spawn(handle)
-            for index in iter(pending.get, None):
-                if self._closed:
-                    break
-                outcomes.put(_run_one(payloads[index], index, retries,
-                                      outcomes.put, attempt))
-        except BaseException as error:  # noqa: BLE001 — raised by the caller
-            outcomes.put(error)
-        finally:
-            outcomes.put(None)
+            raw = self._call(handle, ("run", payload))
+        except _WorkerCrashed as error:
+            with handle.lock:  # the next task must not inherit a dead worker
+                self._respawn(handle)
+            return {"key": payload["key"], "ok": False, "crashed": True,
+                    "error": f"worker process crashed: {error}"}
+        return {**raw, "crashed": handle.restarts > restarts}
 
 
 def _run_pool(payloads: list[dict], jobs: int, retries: int, emit,
               deliver) -> list[TaskResult]:
-    """Run ``payloads`` on a ``jobs``-worker fleet; callbacks stay on this thread."""
-    pending, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
-    for index in [*range(len(payloads)), *[None] * jobs]:
-        pending.put(index)
+    """Run ``payloads`` as one fleet job each; callbacks stay on this thread."""
     fleet = _SweepFleet()
-    # Each dispatcher spawns its own worker, so workers boot concurrently and
-    # the first one ready starts taking tasks at once.
-    fleet._workers = [WorkerHandle(rank) for rank in range(jobs)]
-    threads = [threading.Thread(target=fleet._drive,
-                                args=(handle, payloads, pending, retries, outcomes),
-                                name=f"repro-sweep-dispatch-{handle.rank}",
-                                daemon=True)
-               for handle in fleet._workers]
+    outcomes = queue.SimpleQueue()  # task events, then each finished job
     results: dict[int, TaskResult] = {}
     try:
-        for thread in threads:
-            thread.start()
-        running = jobs
-        while running:
+        fleet._start_workers(jobs)
+        for index, payload in enumerate(payloads):
+            job = fleet._submit(lambda worker, payload=payload, index=index: _run_one(
+                payload, index, retries, outcomes.put,
+                partial(fleet._attempt, worker)))
+            job.add_done_callback(outcomes.put)
+        while len(results) < len(payloads):
             item = outcomes.get()
-            if item is None:
-                running -= 1
-            elif isinstance(item, TaskEvent):
+            if isinstance(item, TaskEvent):
                 emit(item)
-            elif isinstance(item, TaskResult):
-                results[item.index] = item
-                deliver(item)
             else:
-                raise item
+                result = item.result()  # re-raises a job that could not finish
+                results[result.index] = result
+                deliver(result)
     finally:
-        fleet._closed = True
-        fleet._stop_workers()  # unblocks any dispatcher waiting on its worker
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-        fleet._stop_workers()  # reaps a worker respawned during the first stop
+        fleet._stop_workers()
     return [results[index] for index in range(len(payloads))]

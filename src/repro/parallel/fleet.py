@@ -1,4 +1,4 @@
-"""One worker-process lifecycle: spawn, ready-ack, respawn-and-retry, stop.
+"""One worker-process lifecycle: boot, dispatch, respawn-and-retry, stop.
 
 Three owners run N long-lived workers that answer commands over a
 :class:`~multiprocessing.Pipe`: the serving pool
@@ -8,12 +8,20 @@ data-parallel trainer (:class:`~repro.training.DataParallelTrainer`,
 (:func:`~repro.parallel.executor.run_tasks`, ``repro-sweep-<rank>``).
 
 * **Parent side** — :class:`WorkerFleet`, a base class the owner inherits.
-  It spawns workers (``REPRO_MP_START`` policy, default ``spawn``), waits for
-  each one's ready ack, and runs every command through :meth:`_call`.  Each
-  worker has its own pipe, so a death belongs to the one command on it: the
-  worker is respawned and that command alone retried once; a second death
-  raises the owner's error.  A *remote* error (the handler raised inside a
-  healthy worker) is raised at once and never retried.
+  Every worker has one long-lived dispatcher thread,
+  ``repro-<role>-dispatch-<rank>``, which spawns its worker
+  (``REPRO_MP_START`` policy, default ``spawn``) and then runs the owner's
+  jobs on it: :meth:`_submit` hands ``job(handle)`` to the next idle
+  dispatcher and returns a :class:`~concurrent.futures.Future`.  Workers
+  boot concurrently; :meth:`_start_workers` waits for every ready ack and
+  reaps them all on any failure.  A job reaches its worker through
+  :meth:`_call`.  Each worker has its own pipe, so a death belongs to the
+  one command on it: the worker is respawned and that command alone
+  retried once; a second death raises the owner's error.  A *remote* error
+  (the handler raised inside a healthy worker) is raised at once and never
+  retried.  :meth:`_stop_workers` is the one shutdown path: queued jobs are
+  cancelled, in-flight ones finish, a worker still wedged after the timeout
+  is terminated, and every process is reaped.
 * **Child side** — :func:`serve_worker`, which the owner's ``worker_main``
   calls.  It tags the process with ``REPRO_PARALLEL_DEPTH`` (so anything
   inside sees ``effective_jobs() == 1`` and cannot spawn pools of pools),
@@ -31,14 +39,22 @@ the owner supplies its entry point, config and error classes.
 from __future__ import annotations
 
 import os
+import queue
 import threading
+import time
 import traceback
+from concurrent.futures import Future
 from multiprocessing import get_context
 
 from .seeding import derive_seed, seed_task_globals
 from .worker import DEPTH_ENV, START_METHOD_ENV, effective_jobs, parallel_depth
 
 __all__ = ["WorkerFleet", "WorkerHandle", "serve_worker"]
+
+#: Held while a pipe is created and its process started: under the ``fork``
+#: method a pipe end created meanwhile on another thread would leak into the
+#: forked child and keep its sibling's EOF from ever arriving.
+_START_LOCK = threading.Lock()
 
 
 class WorkerHandle:
@@ -54,7 +70,7 @@ class WorkerHandle:
         self.info: dict = {}  # the worker's ready ack (pid, seed, depth, ...)
         self.last_stats: dict = {}  # counters the owner keeps from replies
         self.restarts = 0
-        # Serializes pipe access between the thread driving this worker and
+        # Serializes pipe access between this worker's dispatcher and
         # out-of-band callers (broadcasts, respawns).
         self.lock = threading.Lock()
 
@@ -71,10 +87,10 @@ class WorkerFleet:
     """Base class owning N worker processes and their respawn-and-retry calls.
 
     The owner calls ``WorkerFleet.__init__(self)``, sets the class attributes
-    below, and implements :meth:`_worker_spec`.  It reaches its workers
-    through ``self._workers`` (filled by :meth:`_start_workers`) and
-    :meth:`_call`, and stops them with :meth:`_stop_workers` after raising
-    ``self._closed``.
+    below, and implements :meth:`_worker_spec`.  It boots its workers with
+    :meth:`_start_workers`, runs work with :meth:`_submit` (a job calls
+    :meth:`_call` on the handle it is given), and stops them with
+    :meth:`_stop_workers`.  ``self._workers`` holds the handles.
     """
 
     #: Process names are ``repro-<fleet_role>-<rank>``.
@@ -96,6 +112,11 @@ class WorkerFleet:
         self._restarts_lock = threading.Lock()
         self._context = get_context(os.environ.get(START_METHOD_ENV, "spawn"))
         self._workers: list[WorkerHandle] = []
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._dispatchers: list[threading.Thread] = []
+        # Orders every submit against the stop sentinels, so no job can land
+        # behind them and never run.
+        self._jobs_lock = threading.Lock()
 
     def _worker_spec(self) -> tuple:
         """``(target, config)``: the child entry point and its config dict.
@@ -109,43 +130,91 @@ class WorkerFleet:
     # -- lifecycle -------------------------------------------------------------
 
     def _start_workers(self, size: int) -> None:
-        """Spawn ranks ``0..size-1``; on any failure reap them all and re-raise."""
+        """Boot ranks ``0..size-1`` concurrently, one dispatcher thread each.
+
+        Each dispatcher spawns its own worker; this waits for every ready
+        ack, and on any failure stops the dispatchers, reaps every worker and
+        re-raises the first error by rank.
+        """
         handles = [WorkerHandle(rank) for rank in range(size)]
+        booted = [Future() for _ in handles]
+        jobs = queue.SimpleQueue()
+        threads = [threading.Thread(
+            target=self._dispatch, args=(handle, jobs, ready),
+            name=f"repro-{self.fleet_role}-dispatch-{handle.rank}", daemon=True)
+            for handle, ready in zip(handles, booted)]
+        with self._jobs_lock:
+            self._jobs, self._dispatchers = jobs, threads
+        for thread in threads:
+            thread.start()
         try:
-            for handle in handles:
-                self._spawn(handle)
+            for ready in booted:
+                ready.result()
         except BaseException:
-            for handle in handles:
-                self._discard(handle)
+            self._halt(handles, None)
             raise
         self._workers = handles
+
+    def _dispatch(self, handle: WorkerHandle, jobs, booted: Future) -> None:
+        """Dispatcher thread: boot ``handle``'s worker, then run jobs on it.
+
+        Exits on the ``None`` sentinel :meth:`_halt` queues per dispatcher.
+        """
+        try:
+            self._spawn(handle)
+        except BaseException as error:  # noqa: BLE001 — _start_workers raises it
+            booted.set_exception(error)
+            return
+        booted.set_result(None)
+        for job, future in iter(jobs.get, None):
+            if self._closed:  # stopping: a job not yet started never runs
+                future.cancel()
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                future.set_result(job(handle))
+            except BaseException as error:  # noqa: BLE001 — the future carries it
+                future.set_exception(error)
+
+    def _submit(self, job) -> Future:
+        """Run ``job(handle)`` on the next idle worker's dispatcher thread.
+
+        Raises :attr:`closed_error` once the workers are stopped.
+        """
+        future = Future()
+        with self._jobs_lock:
+            if not self._dispatchers:
+                raise self.closed_error(
+                    f"{self.worker_label}s are stopped; cannot run a "
+                    f"{self.work_unit}")
+            self._jobs.put((job, future))
+        return future
 
     def _spawn(self, handle: WorkerHandle) -> None:
         """Start (or restart) one worker process and wait for its ready ack."""
         target, config = self._worker_spec()
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=target,
-            args=(handle.rank, child_conn,
-                  {**config, "depth": parallel_depth() + 1}),
-            name=f"repro-{self.fleet_role}-{handle.rank}",
-            daemon=True)
-        process.start()
-        child_conn.close()  # the child holds its own copy
-        label = f"{self.worker_label} {handle.rank}"
+        with _START_LOCK:
+            parent_conn, child_conn = self._context.Pipe()
+            process = self._context.Process(
+                target=target,
+                args=(handle.rank, child_conn,
+                      {**config, "depth": parallel_depth() + 1}),
+                name=f"repro-{self.fleet_role}-{handle.rank}",
+                daemon=True)
+            process.start()
+            child_conn.close()  # the child holds its own copy
         try:
             reply = parent_conn.recv()
-        except (EOFError, OSError) as error:
+        except (EOFError, OSError):
+            reply = None
+        if reply is None or reply[0] != "ready":
             process.join(1.0)
             parent_conn.close()
+            label = f"{self.worker_label} {handle.rank}"
             raise self.fleet_error(
-                f"{label} died before answering ready "
-                f"(exitcode {process.exitcode})") from error
-        if reply[0] != "ready":
-            process.join(1.0)
-            parent_conn.close()
-            raise self.fleet_error(
-                f"{label} failed to start: {reply[1]}\n{reply[2]}")
+                f"{label} died before answering ready (exitcode "
+                f"{process.exitcode})" if reply is None
+                else f"{label} failed to start: {reply[1]}\n{reply[2]}")
         handle.process = process
         handle.conn = parent_conn
         handle.info = reply[1]
@@ -158,14 +227,12 @@ class WorkerFleet:
             except OSError:
                 pass
             handle.conn = None
-        if handle.process is not None:
-            if handle.process.is_alive():
-                handle.process.terminate()
-            handle.process.join(2.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(2.0)
-            handle.process = None
+        process, handle.process = handle.process, None
+        if process is not None:
+            for stop in (process.terminate, process.kill):
+                if process.is_alive():
+                    stop()
+                    process.join(2.0)
 
     def _respawn(self, handle: WorkerHandle) -> None:
         """Respawn-and-retry step 1: replace a dead worker with a fresh one."""
@@ -175,13 +242,41 @@ class WorkerFleet:
         with self._restarts_lock:
             self.restarts += 1
 
-    def _stop_workers(self) -> None:
-        """Ask every worker to stop, escalating to terminate/kill.
+    def _stop_workers(self, timeout: float | None = 5.0) -> None:
+        """Close the fleet: stop the dispatchers, then every worker process.
 
-        Takes no handle locks: a thread wedged in a call holds its handle's
-        lock, and terminating that worker is what unblocks it.
+        Jobs not yet started are cancelled; in-flight jobs get ``timeout``
+        seconds (``None``: no bound) to finish.  A worker still wedged after
+        that is terminated, so its blocked job raises :attr:`closed_error`.
+        Idempotent.
         """
-        for handle in self._workers:
+        self._closed = True
+        self._halt(self._workers, timeout)
+
+    def _halt(self, handles: list[WorkerHandle], timeout: float | None) -> None:
+        """Stop the dispatchers, killing wedged workers, then reap ``handles``.
+
+        Takes no handle locks: a wedged job holds its handle's lock, and
+        terminating that worker is what unblocks it.
+        """
+        with self._jobs_lock:
+            dispatchers, self._dispatchers = self._dispatchers, []
+            for _ in dispatchers:
+                self._jobs.put(None)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for thread in dispatchers:
+            thread.join(None if deadline is None
+                        else max(0.0, deadline - time.monotonic()))
+        escalate = "terminate"
+        while any(thread.is_alive() for thread in dispatchers):
+            for handle in handles:  # a job is wedged: its recv raises on death
+                process = handle.process
+                if process is not None and process.is_alive():
+                    getattr(process, escalate)()
+            escalate = "kill"
+            for thread in dispatchers:
+                thread.join(0.5)
+        for handle in handles:
             if handle.conn is not None:
                 try:
                     handle.conn.send(("stop",))

@@ -14,34 +14,34 @@ instead of competing**:
 * The engine *is* a :class:`~repro.serve.batching.QueuedEngine`: the exact
   bounded-queue / ``max_batch``-rows-or-``max_wait_ms`` coalescing policy of
   the batched engine assembles batches in the parent.
-* Instead of running a batch inline, the scheduler hands it to the next idle
-  worker over a request/response :class:`~multiprocessing.Pipe` and
-  immediately goes back to coalescing — so up to ``workers`` fused batches
-  execute concurrently, one per process.
+* Instead of running a batch inline, the scheduler submits it as one fleet
+  job, which the next idle worker's dispatcher thread runs over that
+  worker's request/response :class:`~multiprocessing.Pipe`, and immediately
+  goes back to coalescing — so up to ``workers`` fused batches execute
+  concurrently, one per process.
 
-Workers run :func:`worker_main` on the shared worker lifecycle of
-:mod:`repro.parallel.fleet` (spawn, ready ack, depth tagging, seeding with
-``derive_seed(seed, "serve-pool", rank)``, respawn-and-retry).  Each loads
-the bundle **by path** into its own :class:`~repro.serve.InferenceSession`,
-so nothing unpicklable crosses the process boundary and every worker warms
-its own plan cache.  Model weights come from the bundle and inference draws
-no randomness, so pool output is byte-identical to
-:class:`~repro.serve.engine.DirectEngine` for aligned batches.  A batch whose
-worker dies twice fails its futures with
+Workers run :func:`worker_main` on the shared lifecycle of
+:mod:`repro.parallel.fleet` (concurrent boot, depth tagging, seeding with
+``derive_seed(seed, "serve-pool", rank)``, dispatch, respawn-and-retry,
+shutdown).  Each loads the bundle **by path** into its own
+:class:`~repro.serve.InferenceSession`, so nothing unpicklable crosses the
+process boundary and every worker warms its own plan cache.  Model weights
+come from the bundle and inference draws no randomness, so pool output is
+byte-identical to :class:`~repro.serve.engine.DirectEngine` for aligned
+batches.  A batch whose worker dies twice fails its futures with
 :class:`~repro.serve.engine.EngineError`; ``close()`` drains the queue, fails
 still-queued futures with :class:`~repro.serve.engine.EngineClosed`, then
-stops the workers.
+stops the fleet, terminating a worker whose forward outlasts the timeout.
 
 Cost model versus the single-process engines: each worker holds a full copy
-of the bundle (memory is N × bundle) and spawn adds ~1 s of startup per
-worker, in exchange for throughput that scales with cores.  See the
+of the bundle (memory is N × bundle) and the workers' concurrent boot adds
+~1 s of startup, in exchange for throughput that scales with cores.  See the
 "choosing an engine" table in ARCHITECTURE.md.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 
 from ..parallel.executor import parallel_depth
@@ -50,9 +50,6 @@ from .batching import QueuedEngine, _demux, _fuse, _request_groups
 from .engine import EngineClosed, EngineError
 
 __all__ = ["ProcessPoolEngine", "worker_main"]
-
-#: Shard-queue sentinel telling a dispatcher thread to exit.
-_STOP = object()
 
 #: Counters a worker reports with every reply and the parent aggregates.
 _PLAN_COUNTER_KEYS = ("plans", "fallback_keys", "hits", "misses", "fallbacks",
@@ -95,6 +92,12 @@ def _predict(session, inputs):
 def _warm(session, input_shape):
     session.warm(input_shape)
     return None, _session_stats(session)
+
+
+def _closed_while_queued() -> EngineClosed:
+    return EngineClosed(
+        "serving engine closed while the request was still queued; the "
+        "server is shutting down — retry against a live server")
 
 
 class ProcessPoolEngine(QueuedEngine, WorkerFleet):
@@ -147,12 +150,9 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
         self.workers = int(workers)
         self.seed = int(seed)
         self.bundle_path = str(session.bundle.path)
-        # Unbounded hand-off queue between the scheduler and the dispatcher
-        # threads; _slots_free bounds it to at most `workers` in-flight
-        # shards, so backpressure lands on the main bounded request queue.
-        self._shard_queue: queue.Queue = queue.Queue()
+        # At most `workers` shards in flight, so backpressure lands on the
+        # main bounded request queue.
         self._slots_free = threading.Semaphore(self.workers)
-        self._dispatchers: list[threading.Thread] = []
         # The scheduler thread must not start before the workers exist.
         super().__init__(session, max_batch=max_batch, max_wait_ms=max_wait_ms,
                          queue_size=queue_size, autostart=False)
@@ -161,12 +161,6 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
         except BaseException:
             self._closed = True
             raise
-        for worker in self._workers:
-            thread = threading.Thread(target=self._dispatch_loop, args=(worker,),
-                                      name=f"repro-pool-worker-{worker.rank}",
-                                      daemon=True)
-            self._dispatchers.append(thread)
-            thread.start()
         if autostart:
             self.start()
 
@@ -179,7 +173,7 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
     # -- scheduling ------------------------------------------------------------
 
     def _handle_batch(self, batch) -> None:
-        """Hand one coalesced batch to the next idle worker.
+        """Submit one coalesced batch to the next idle worker.
 
         Blocks while every worker is busy (that is the backpressure that
         keeps the bounded request queue meaningful), but keeps checking the
@@ -188,29 +182,18 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
         """
         while not self._slots_free.acquire(timeout=0.05):
             if self._closed:
-                self._fail_batch(batch, EngineClosed(
-                    "serving engine closed while the request was still "
-                    "queued; the server is shutting down — retry against "
-                    "a live server"))
+                self._fail_batch(batch, _closed_while_queued())
                 return
-        if self._closed:
-            self._slots_free.release()
-            self._fail_batch(batch, EngineClosed(
-                "serving engine closed while the request was still queued; "
-                "the server is shutting down — retry against a live server"))
-            return
-        self._shard_queue.put(batch)
 
-    def _dispatch_loop(self, worker) -> None:
-        """One thread per worker: pull shards and run them on that worker."""
-        while True:
-            shard = self._shard_queue.get()
-            if shard is _STOP:
-                return
-            try:
-                self._run_shard(worker, shard)
-            finally:
-                self._slots_free.release()
+        def finished(job) -> None:
+            self._slots_free.release()
+            # Cancelled: the fleet stopped before a worker took the batch.
+            error = _closed_while_queued() if job.cancelled() else job.exception()
+            if error is not None:
+                self._fail_batch(batch, error)
+
+        job = self._submit(lambda worker: self._run_shard(worker, batch))
+        job.add_done_callback(finished)
 
     def _run_shard(self, worker, shard) -> None:
         """Execute one coalesced batch remotely; every future must resolve.
@@ -236,44 +219,16 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
     # -- warmup ----------------------------------------------------------------
 
     def warm(self, input_shape: tuple | None = None) -> None:
-        """Broadcast a plan-cache warmup to every worker (each has its own)."""
+        """Warm every worker's own plan cache; a worker's error raises here."""
         message = ("warm", tuple(input_shape) if input_shape is not None else None)
         for worker in self._workers:
-            try:
-                with worker.lock:
-                    if not worker.alive:
-                        continue
-                    worker.conn.send(message)
-                    reply = worker.conn.recv()
-                if reply[0] == "ok":
-                    worker.last_stats = reply[1][1]
-            except (EOFError, OSError):
-                pass  # a dead worker is respawned on its next shard instead
+            _, worker.last_stats = self._call(worker, message)
 
     # -- shutdown --------------------------------------------------------------
 
     def _shutdown_backend(self, timeout: float | None) -> None:
-        """Stop dispatcher threads and worker processes after the drain.
-
-        Runs after the scheduler has stopped and every still-queued request
-        has been failed; only shards already handed to workers may be in
-        flight.  Dispatchers finish those (a killed worker's pipe raises,
-        which — with the closed flag up — fails the futures with
-        :class:`EngineClosed`), then exit on their stop sentinels.
-        """
-        for _ in self._dispatchers:
-            self._shard_queue.put(_STOP)
-        deadline = timeout if timeout is not None else 5.0
-        for thread in self._dispatchers:
-            thread.join(deadline)
-        for thread in self._dispatchers:
-            if thread.is_alive():  # a forward is wedged: kill its process so
-                for worker in self._workers:  # the blocked recv raises EOF
-                    if worker.alive:
-                        worker.process.terminate()
-                thread.join(deadline)
-                break
-        self._stop_workers()
+        """Stop the fleet once the scheduler has drained (see ``close``)."""
+        self._stop_workers(timeout)
 
     # -- introspection ---------------------------------------------------------
 

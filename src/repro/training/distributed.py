@@ -27,9 +27,10 @@ machine size silently chooses.  (Same honest boundary as the serving stack's
 "aligned batches" caveat: we promise exactly what the arithmetic can
 deliver.)
 
-Worker processes run on the shared lifecycle of :mod:`repro.parallel.fleet`
-(respawn-and-retry: a worker that dies mid-step is respawned and its shard
-retried exactly once).  Every step message carries the parent's full
+Worker processes run on the shared lifecycle of :mod:`repro.parallel.fleet`:
+each step submits one fleet job per non-empty shard, the next idle worker
+runs it, and a worker that dies mid-step is respawned and its shard retried
+exactly once.  Every step message carries the parent's full
 ``state_dict``, so workers are stateless between steps and the retry
 computes the same bytes the dead worker would have; a second death raises
 :class:`DistributedTrainingError`.
@@ -43,7 +44,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import wait
+from functools import partial
 
 import numpy as np
 
@@ -170,7 +172,6 @@ class DataParallelTrainer(Trainer, WorkerFleet):
 
     def close(self) -> None:
         """Stop the worker processes (``stop`` first, escalating to kill)."""
-        self._closed = True
         self._stop_workers()
 
     def __enter__(self) -> "DataParallelTrainer":
@@ -265,47 +266,21 @@ class DataParallelTrainer(Trainer, WorkerFleet):
         return results
 
     def _compute_shards_remote(self, batch_inputs, batch_targets, bounds) -> list:
-        """Fan the shards out across the worker fleet, round-robin by rank.
+        """Submit one fleet job per non-empty shard; results in rank order.
 
-        Worker *w* computes shards ``w, w + workers, w + 2*workers, ...`` —
-        an assignment that only affects *where* each shard runs, never the
-        reduction order.  Each dispatching thread drives one worker; any
-        shard failure (after the fleet's one respawn-and-retry) aborts the
-        step.
+        The next idle worker takes each shard, which affects only *where* it
+        runs, never the reduction order.  Every job finishes before a shard
+        failure (after the fleet's one respawn-and-retry) aborts the step.
         """
         self._ensure_workers()
         state = self.model.state_dict()
-        results: list = [None] * len(bounds)
-        errors: list[BaseException] = []
-
-        def dispatch(handle, ranks: list[int]) -> None:
-            for rank in ranks:
-                start, end = bounds[rank]
-                if start == end:
-                    continue
-                try:
-                    results[rank] = self._call(handle, (
-                        "step", state, batch_inputs[start:end],
-                        batch_targets[start:end], self.model.training))
-                except BaseException as error:  # noqa: BLE001 — re-raised below
-                    errors.append(error)
-                    return
-
-        threads = []
-        for index, handle in enumerate(self._workers):
-            ranks = list(range(index, len(bounds), len(self._workers)))
-            if not ranks:
-                continue
-            thread = threading.Thread(target=dispatch, args=(handle, ranks),
-                                      name=f"repro-dp-dispatch-{index}",
-                                      daemon=True)
-            threads.append(thread)
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results
+        jobs = [self._submit(partial(self._call, message=(
+                    "step", state, batch_inputs[start:end],
+                    batch_targets[start:end], self.model.training)))
+                if start < end else None
+                for start, end in bounds]
+        wait([job for job in jobs if job is not None])
+        return [None if job is None else job.result() for job in jobs]
 
     # -- introspection ---------------------------------------------------------
 

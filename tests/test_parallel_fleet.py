@@ -1,13 +1,17 @@
 """WorkerFleet: start failures, isolate-and-retry, remote errors, shutdown.
 
-The workers run a tiny echo/crash target, so no model is ever loaded.
+The workers run a tiny echo/crash target, so no model is ever loaded, except
+in the last class, which closes each of the three real owners.
 """
 
 import multiprocessing
 import os
+import signal
 import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.parallel.fleet import WorkerFleet, serve_worker
@@ -58,10 +62,15 @@ def _raise(log):
     raise ValueError("bad input")
 
 
+def _block(log):
+    _record(log)
+    threading.Event().wait()
+
+
 def echo_main(rank, conn, config):
     serve_worker(conn, "echo", rank, config, _setup,
                  {"echo": _echo, "crash": _crash, "crash_once": _crash_once,
-                  "raise": _raise})
+                  "raise": _raise, "block": _block})
 
 
 class EchoFleet(WorkerFleet):
@@ -87,6 +96,11 @@ class EchoFleet(WorkerFleet):
 
 def _children():
     return {child.pid for child in multiprocessing.active_children()}
+
+
+def _repro_threads():
+    return sum(thread.name.startswith("repro-")
+               for thread in threading.enumerate())
 
 
 @pytest.fixture
@@ -221,4 +235,130 @@ class TestClose:
         fleet.close()
         fleet.close()
         assert all(not handle.alive for handle in fleet._workers)
+        assert _children() == baseline
+
+
+class TestDispatch:
+    def test_every_job_runs_once_on_its_dispatchers_worker(self, log):
+        # More workers than cores, all pulling from one queue with a short
+        # switch interval: a job lost or run twice would show in the results.
+        size = (os.cpu_count() or 1) + 2
+        threads = _repro_threads()
+        fleet = EchoFleet(size=size, log=log)
+        ran = []
+
+        def run(handle, value):
+            ran.append(value)
+            return (fleet._call(handle, ("echo", value)), handle.rank,
+                    threading.current_thread().name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _repro_threads() == threads + size
+            jobs = [fleet._submit(lambda handle, value=value: run(handle, value))
+                    for value in range(8 * size)]
+            done = [job.result(timeout=60) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+            fleet.close()
+        assert sorted(ran) == list(range(8 * size))
+        assert [value for (value, _), _, _ in done] == list(range(8 * size))
+        for (_, pid), rank, thread in done:
+            assert pid == fleet._workers[rank].info["pid"]
+            assert thread == f"repro-echo-dispatch-{rank}"
+        assert _repro_threads() == threads
+
+    def test_submit_after_close_raises_the_closed_error(self, fleet):
+        fleet.close()
+        with pytest.raises(FleetClosed, match="stopped"):
+            fleet._submit(lambda handle: None)
+
+    def test_stop_cancels_queued_jobs_and_terminates_a_wedged_worker(
+            self, log):
+        baseline, threads = _children(), _repro_threads()
+        fleet = EchoFleet(size=1, log=log)
+        job = fleet._submit(lambda handle: fleet._call(handle, ("block",)))
+        queued = fleet._submit(lambda handle: fleet._call(handle, ("echo", 1)))
+        deadline = time.monotonic() + 60
+        while not os.path.exists(log) and time.monotonic() < deadline:
+            time.sleep(0.01)  # the block command has reached the worker
+        started = time.monotonic()
+        fleet._stop_workers(timeout=0.5)
+        assert time.monotonic() - started < 10
+        with pytest.raises(FleetClosed, match="in flight"):
+            job.result(timeout=10)
+        assert queued.cancelled()  # never started, so never run
+        assert fleet.restarts == 0
+        assert _children() == baseline and _repro_threads() == threads
+
+
+def _close_pool(tmp_path, kill):
+    from repro.io import save_bundle
+    from repro.models import SimpleCNN
+    from repro.serve import InferenceSession, ProcessPoolEngine
+
+    model = SimpleCNN(num_classes=4, neuron_type="proposed", rank=2,
+                      base_width=4, image_size=8, seed=0)
+    bundle = save_bundle(tmp_path / "model.npz", model,
+                         info={"input_shape": [3, 8, 8]})
+    engine = ProcessPoolEngine(InferenceSession(bundle, max_batch=4), workers=2)
+    try:
+        engine.predict(np.zeros((2, 3, 8, 8), dtype=np.float32), timeout=60)
+        if kill:
+            _sigkill(engine._workers[0].process)
+    finally:
+        engine.close()
+
+
+def _close_trainer(tmp_path, kill):
+    from repro import nn
+    from repro.data import DataLoader
+    from repro.models import MLPClassifier
+    from repro.optim import SGD
+    from repro.training import DataParallelTrainer
+
+    model = MLPClassifier(8, 2, hidden_sizes=(16,), seed=0)
+    trainer = DataParallelTrainer(model, SGD(model.parameters(), lr=0.1),
+                                  nn.CrossEntropyLoss(), world_size=2,
+                                  workers=2, seed=0)
+    inputs = np.ones((8, 8), dtype=np.float32)
+    try:
+        trainer.fit(DataLoader(inputs, np.zeros(8, dtype=np.int64),
+                               batch_size=8), epochs=1)
+        if kill:
+            _sigkill(trainer._workers[0].process)
+    finally:
+        trainer.close()
+
+
+def _close_sweep(tmp_path, kill):
+    from repro.parallel import Task, run_tasks
+
+    def on_event(event):
+        if kill and event.key == "t0" and event.kind == "submitted":
+            _sigkill(next(child for child in multiprocessing.active_children()
+                          if child.name == "repro-sweep-0"))
+
+    tasks = [Task(key=f"t{index}", fn="repro.parallel.seeding:derive_seed",
+                  kwargs={"root_seed": index}) for index in range(4)]
+    results = run_tasks(tasks, jobs=2, on_event=on_event)
+    assert [result.value for result in results] == \
+        [derive_seed(index) for index in range(4)]
+
+
+def _sigkill(process):
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(10)
+
+
+class TestOwnersCloseClean:
+    @pytest.mark.parametrize("kill", [False, True], ids=["normal", "sigkilled"])
+    @pytest.mark.parametrize("close", [_close_pool, _close_trainer, _close_sweep],
+                             ids=["pool", "trainer", "sweep"])
+    def test_threads_and_children_return_to_baseline(self, tmp_path, close,
+                                                     kill):
+        baseline, threads = _children(), _repro_threads()
+        close(tmp_path, kill)
+        assert _repro_threads() == threads
         assert _children() == baseline

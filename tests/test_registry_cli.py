@@ -2,6 +2,7 @@
 
 import json
 import pkgutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -370,12 +371,30 @@ class TestBenchGates:
         environment = bench.build_summary({}, {}, scale="smoke",
                                           started=0.0)["environment"]
         assert set(environment) == {"nproc", "blas", "blas_threads", "numpy",
-                                    "python", "platform", "git_sha"}
+                                    "python", "platform", "git_sha",
+                                    "git_dirty"}
         assert environment["nproc"] >= 1
         assert environment["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert set(environment["blas"]) == {"name", "version"}
         assert environment["numpy"] == np.__version__
         assert environment["git_sha"]
+
+    @pytest.mark.parametrize("head, porcelain, dirty", [
+        ("abc123", "", False),
+        ("abc123", " M src/repro/bench.py\n?? scratch.txt", True),
+        ("", "", None)])
+    def test_environment_flags_a_dirty_tree(self, monkeypatch, head,
+                                            porcelain, dirty):
+        from repro import bench
+
+        def fake_git(command, **kwargs):
+            stdout = head if command[1] == "rev-parse" else porcelain
+            return subprocess.CompletedProcess(command, 0, stdout=stdout)
+
+        monkeypatch.setattr(bench.subprocess, "run", fake_git)
+        environment = bench.environment()
+        assert environment["git_sha"] == (head or "not a git checkout")
+        assert environment["git_dirty"] is dirty
 
     def test_trace_gates_every_batch(self):
         from repro import bench

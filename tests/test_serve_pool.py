@@ -15,6 +15,7 @@ from repro.io import save_bundle
 from repro.models import SimpleCNN
 from repro.parallel.worker import DEPTH_ENV
 from repro.serve import (
+    BatchedEngine,
     DirectEngine,
     EngineClosed,
     EngineError,
@@ -96,6 +97,21 @@ class TestPoolPredictions:
         # A model error is the request's fault: the worker survives, no retry.
         assert pool.stats()["restarts"] == before
         assert pool.predict(_inputs(2), timeout=60).shape == (2, 4)
+
+    def test_warm_raises_a_worker_error_like_the_batched_engine(self, pool,
+                                                                bundle_path):
+        batched = BatchedEngine(InferenceSession(bundle_path, max_batch=8))
+        try:
+            with pytest.raises(ValueError):
+                batched.warm((5, 7, 7))  # wrong channel count
+        finally:
+            batched.close()
+        before = pool.stats()["restarts"]
+        with pytest.raises(RuntimeError, match="ValueError") as raised:
+            pool.warm((5, 7, 7))
+        assert "worker traceback" in str(raised.value)
+        assert pool.stats()["restarts"] == before
+        pool.warm((3, 8, 8))
 
 
 class TestWorkerIdentity:
