@@ -447,7 +447,7 @@ def generation_benchmarks(rounds: int = 3, warmup: int = 1, batch: int = 16,
                         neuron_type="proposed", rank=4, max_len=max_len,
                         seed=0).eval()
     rng = np.random.default_rng(3)
-    src_ids = rng.integers(4, 101, size=(batch, 12), dtype=np.int64)
+    src_ids = rng.integers(4, 101, size=(batch, min(12, max_len)), dtype=np.int64)
     steps = max_len - 1
     bos = 1
 

@@ -6,7 +6,7 @@ entry point that measures and serves it.  Since PR 5 it is layered around a
 pluggable engine boundary:
 
 * :class:`InferenceSession` — eval-mode, ``no_grad``, micro-batched forwards
-  with warm buffer caches and a zero-graph-construction guarantee.
+  with warm compiled plans and a zero-graph-construction guarantee.
 * :class:`ServingEngine` — the scheduling protocol (``submit``/``stats``/
   ``close``): :class:`DirectEngine` runs forwards inline on the caller's
   thread; :class:`BatchedEngine` coalesces concurrent requests into fused

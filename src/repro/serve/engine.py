@@ -99,7 +99,7 @@ class ServingEngine:
     # -- shared conveniences ---------------------------------------------------
 
     def warm(self, input_shape: tuple | None = None) -> None:
-        """Warm whatever executes forwards (buffer caches + plan cache).
+        """Warm whatever executes forwards (compile its plans).
 
         The default delegates to the engine's in-process session; engines
         whose forwards run elsewhere (the process pool) override this to

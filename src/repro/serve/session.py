@@ -11,10 +11,8 @@ answers ``predict`` calls on the raw-logits level:
 * **micro-batching** — arbitrarily large requests are split into chunks of at
   most ``max_batch`` rows, bounding peak activation memory while keeping each
   chunk large enough for the engine's batched kernels to pay off.
-* **warm buffer caches** — inference-mode convolutions route their im2col
-  expansion through the engine's shared column cache
-  (:data:`repro.tensor.column_cache`); :meth:`warm` runs a throwaway forward
-  so the first real request doesn't pay the allocation cost.
+* **warm plans** — :meth:`warm` runs throwaway forwards so the first real
+  request replays a compiled plan instead of paying the trace cost.
 * **thread safety** — a lock serializes forwards, making one session safely
   shareable across the threads of :mod:`repro.serve.http`.
 * **trace-and-replay compilation** — with ``compile=True`` (the default) the
@@ -152,16 +150,16 @@ class InferenceSession:
         for start in range(0, len(inputs), self.max_batch):
             yield inputs[start:start + self.max_batch]
 
-    # -- cache warming ---------------------------------------------------------
+    # -- warming ---------------------------------------------------------------
 
     def warm(self, input_shape: tuple | None = None,
-             batch_sizes: tuple[int, ...] | None = None,
-             force: bool = False) -> bool:
-        """Run throwaway forwards to populate the engine's buffer caches.
+             batch_sizes: tuple[int, ...] | None = None) -> bool:
+        """Run throwaway forwards that compile the session's execution plans.
 
-        With compilation enabled this is also what triggers tracing: each
-        warmed batch size records and compiles an execution plan, so the
-        first real request replays instead of paying the trace cost.
+        With compilation enabled each warmed batch size records and compiles
+        an execution plan, so the first real request replays instead of
+        paying the trace cost; with it disabled the forwards only exercise
+        the model.
 
         ``input_shape`` is the per-sample shape; when omitted it is taken from
         the session's bundle metadata.  ``batch_sizes`` defaults to
@@ -171,8 +169,7 @@ class InferenceSession:
         Idempotent and thread-safe: a ``(input_shape, batch_sizes)``
         combination is warmed at most once per session — concurrent and
         repeated calls (e.g. several transports sharing one session) skip the
-        redundant throwaway forwards instead of rebuilding the column caches.
-        ``force=True`` re-warms, e.g. after ``column_cache.clear()``.
+        redundant throwaway forwards.
         """
         if input_shape is None and self.bundle is not None:
             input_shape = self.bundle.input_shape
@@ -181,7 +178,7 @@ class InferenceSession:
         sizes = tuple(batch_sizes) if batch_sizes else (self.max_batch,)
         key = (tuple(input_shape), sizes)
         with self._lock:
-            if key in self._warmed and not force:
+            if key in self._warmed:
                 return True
             for batch in sizes:
                 self._forward(np.zeros((batch, *input_shape), dtype=np.float32))

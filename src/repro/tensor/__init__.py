@@ -30,7 +30,7 @@ from .engine import (
     graph_nodes_created,
     remove_op_timing_hook,
 )
-from .ops import register_op, op_names, column_cache
+from .ops import register_op, op_names
 from .tensor import Tensor, no_grad, is_grad_enabled, unbroadcast, DEFAULT_DTYPE
 from . import trace, plan
 from .trace import record_trace, TraceError
@@ -69,7 +69,6 @@ __all__ = [
     "op_names",
     "add_op_timing_hook",
     "remove_op_timing_hook",
-    "column_cache",
     "trace",
     "plan",
     "record_trace",

@@ -7,23 +7,21 @@ CNN experiments.  The array-level kernels (``im2col`` / ``col2im`` /
 ops that use them and are re-exported here; the functions below are thin
 Tensor-level wrappers that dispatch through the graph executor.
 
-The ``conv2d`` op fuses im2col with the filter matmul and, in inference mode
-(``no_grad``), draws its column buffer from a shared cache
-(:data:`repro.tensor.ops.column_cache`) so repeated same-geometry
-convolutions do not reallocate the patch matrix.
+The ``conv2d`` op fuses im2col with the filter matmul: every call extracts
+its own patch matrix, in training and inference alike, so concurrent
+forwards share no buffers.
 """
 
 from __future__ import annotations
 
 from .engine import apply_op
-from .ops import col2im, column_cache, conv_output_size, im2col  # noqa: F401  (re-exported)
+from .ops import col2im, conv_output_size, im2col  # noqa: F401  (re-exported)
 from .tensor import Tensor
 
 __all__ = [
     "conv_output_size",
     "im2col",
     "col2im",
-    "column_cache",
     "unfold",
     "conv2d",
     "max_pool2d",

@@ -39,8 +39,8 @@ The registry also hosts the fused composite kernels for the paper's hot
 paths: ``quadratic_response`` / ``quadratic_conv2d`` evaluate the proposed
 neuron ``y = wᵀx + b + (fᵏ)ᵀΛᵏfᵏ`` with a single hand-derived VJP instead of
 the ~8-node subgraph the unfused composition builds, ``layer_norm`` replaces
-LayerNorm's 11-primitive composition byte for byte, and ``conv2d`` shares a
-cached im2col column buffer between inference calls.
+LayerNorm's 11-primitive composition byte for byte, and ``conv2d`` runs
+im2col and one gemm.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ __all__ = [
     "conv_output_size",
     "im2col",
     "col2im",
-    "ColumnBufferCache",
-    "column_cache",
 ]
 
 
@@ -78,8 +76,7 @@ class OpContext:
     ``inputs`` holds the raw input arrays, ``kwargs`` the non-differentiable
     configuration, and ``saved`` whatever the forward stashed for the
     backward.  ``requires_grad`` tells the forward whether a VJP will run at
-    all, so it can skip saving intermediates (and reuse scratch buffers) in
-    inference mode.
+    all, so it can skip saving intermediates in inference mode.
     """
 
     __slots__ = ("inputs", "kwargs", "requires_grad", "saved")
@@ -815,14 +812,12 @@ def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
 
 
-def im2col(x: np.ndarray, kernel_size: int, stride: int, padding: int,
-           out: np.ndarray | None = None) -> np.ndarray:
+def im2col(x: np.ndarray, kernel_size: int, stride: int, padding: int) -> np.ndarray:
     """Extract sliding patches from ``x`` of shape ``(N, C, H, W)``.
 
-    Returns an array of shape ``(N, out_h, out_w, C * kernel_size**2)`` where
-    each row is a flattened receptive field.  When ``out`` is given (the
-    fused-conv column cache) the patches are copied into it instead of a
-    freshly allocated buffer.
+    Returns a freshly allocated array of shape
+    ``(N, out_h, out_w, C * kernel_size**2)`` where each row is a flattened
+    receptive field.
     """
     padded = _pad_input(x, padding)
     windows = sliding_window_view(padded, (kernel_size, kernel_size), axis=(2, 3))
@@ -831,9 +826,6 @@ def im2col(x: np.ndarray, kernel_size: int, stride: int, padding: int,
     windows = windows.transpose(0, 2, 3, 1, 4, 5)
     n, out_h, out_w = windows.shape[:3]
     flat_shape = (n, out_h, out_w, windows.shape[3] * kernel_size * kernel_size)
-    if out is not None and out.shape == flat_shape and out.dtype == windows.dtype:
-        np.copyto(out.reshape(windows.shape), windows)
-        return out
     return np.ascontiguousarray(windows.reshape(flat_shape))
 
 
@@ -854,69 +846,6 @@ def col2im(cols: np.ndarray, input_shape: tuple, kernel_size: int, stride: int,
     if padding == 0:
         return padded
     return padded[:, :, padding:padding + height, padding:padding + width]
-
-
-class ColumnBufferCache:
-    """Reusable im2col output buffers, keyed by ``(shape, dtype)``.
-
-    im2col materializes ``C·K²`` copies of every pixel, so for inference-heavy
-    workloads the allocation itself is measurable.  The cache hands the same
-    buffer back for repeated same-geometry convolutions.  It is only consulted
-    for graphs that do NOT require gradients: a training-mode forward must own
-    its columns because the backward pass reads them after an arbitrary number
-    of other convolutions have run.
-
-    Retention is bounded two ways — at most ``max_entries`` buffers and at
-    most ``max_bytes`` in total, with least-recently-used eviction — so stale
-    geometries from an early evaluation cannot pin large buffers for the rest
-    of the process.  A single buffer larger than ``max_bytes`` is handed out
-    but never retained.  ``clear()`` releases everything immediately.
-    """
-
-    def __init__(self, max_entries: int = 8, max_bytes: int = 256 * 1024 * 1024):
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._buffers: "dict[tuple, np.ndarray]" = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, shape: tuple, dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype).str)
-        buffer = self._buffers.pop(key, None)
-        if buffer is None:
-            self.misses += 1
-            buffer = np.empty(shape, dtype=dtype)
-        else:
-            self.hits += 1
-        self._buffers[key] = buffer          # most-recently-used at the end
-        self._evict()
-        return buffer
-
-    def _evict(self) -> None:
-        while self._buffers and (len(self._buffers) > self.max_entries
-                                 or self.total_bytes > self.max_bytes):
-            self._buffers.pop(next(iter(self._buffers)))
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(buffer.nbytes for buffer in self._buffers.values())
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-
-column_cache = ColumnBufferCache()
-
-
-def _conv_columns(ctx, x: np.ndarray, kernel_size: int, stride: int, padding: int) -> np.ndarray:
-    """im2col through the shared column cache when no gradient is needed."""
-    if ctx.requires_grad:
-        return im2col(x, kernel_size, stride, padding)
-    n, channels, height, width = x.shape
-    out_h = conv_output_size(height, kernel_size, stride, padding)
-    out_w = conv_output_size(width, kernel_size, stride, padding)
-    buffer = column_cache.get((n, out_h, out_w, channels * kernel_size * kernel_size), x.dtype)
-    return im2col(x, kernel_size, stride, padding, out=buffer)
 
 
 def _unfold_fw(ctx, x, kernel_size, stride=1, padding=0):
@@ -956,7 +885,7 @@ def _conv2d_fw(ctx, x, weight, bias=None, stride=1, padding=0):
         raise ValueError(f"conv2d channel mismatch: input has {c_in}, weight expects {c_in_w}")
     if k_h != k_w:
         raise ValueError("conv2d only supports square kernels")
-    cols = _conv_columns(ctx, x, k_h, stride, padding)       # (N, OH, OW, C*K*K)
+    cols = im2col(x, k_h, stride, padding)                   # (N, OH, OW, C*K*K)
     flat_weight = weight.reshape(c_out, -1)                  # (C_out, C*K*K)
     out = cols @ flat_weight.T                               # (N, OH, OW, C_out)
     if bias is not None:
@@ -1273,7 +1202,7 @@ def _quadratic_conv2d_fw(ctx, x, weight, q_weight, lambdas, bias=None, *,
     """
     m = weight.shape[0]
     kernel_size = weight.shape[-1]
-    cols = _conv_columns(ctx, x, kernel_size, stride, padding)   # (N, OH, OW, C*K*K)
+    cols = im2col(x, kernel_size, stride, padding)               # (N, OH, OW, C*K*K)
     flat_w = weight.reshape(m, -1)
     flat_q = q_weight.reshape(m * rank, -1)
     stacked = np.concatenate([flat_w, flat_q], axis=0)           # (m + m*k, n)

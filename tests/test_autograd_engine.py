@@ -16,7 +16,6 @@ from repro.quadratic import EfficientQuadraticConv2d, EfficientQuadraticLinear
 from repro.tensor import (
     Tensor,
     apply_op,
-    column_cache,
     graph_nodes_created,
     is_grad_enabled,
     no_grad,
@@ -380,41 +379,3 @@ class TestFusedEquivalence:
             6, 8, rank=2, rng=np.random.default_rng(3))
         out = layer(Tensor(np.zeros((2, 6), dtype=np.float32)))
         assert out.shape == (2, 8)
-
-
-class TestColumnCache:
-    def test_inference_conv_reuses_column_buffer(self):
-        column_cache.clear()
-        hits_before = column_cache.hits
-        conv = Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(0))
-        conv.eval()
-        x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 8, 8)).astype(np.float32))
-        with no_grad():
-            first = conv(x)
-            second = conv(x)
-        assert column_cache.hits > hits_before
-        np.testing.assert_allclose(first.data, second.data)
-
-    def test_cache_is_bounded_by_entries_and_bytes_with_lru_eviction(self):
-        from repro.tensor.ops import ColumnBufferCache
-        cache = ColumnBufferCache(max_entries=2, max_bytes=10_000)
-        cache.get((10, 10), np.float32)       # 400 B
-        cache.get((20, 20), np.float32)       # 1600 B
-        cache.get((30, 30), np.float32)       # 3600 B -> evicts (10, 10) (LRU)
-        assert len(cache._buffers) == 2
-        cache.get((20, 20), np.float32)       # hit; refreshes recency
-        assert cache.hits == 1
-        # A buffer bigger than max_bytes is handed out but never retained.
-        big = cache.get((60, 60), np.float64)  # 28.8 kB > max_bytes
-        assert big.shape == (60, 60)
-        assert all(buf.nbytes <= 10_000 for buf in cache._buffers.values())
-        assert cache.total_bytes <= 10_000
-
-    def test_training_conv_does_not_touch_cache(self):
-        column_cache.clear()
-        misses_before = column_cache.misses
-        conv = Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(0))
-        x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 8, 8)).astype(np.float32),
-                   requires_grad=True)
-        conv(x).sum().backward()
-        assert column_cache.misses == misses_before

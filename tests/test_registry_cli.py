@@ -396,6 +396,15 @@ class TestBenchGates:
         assert environment["git_sha"] == (head or "not a git checkout")
         assert environment["git_dirty"] is dirty
 
+    def test_generation_micro_runs_below_its_source_length(self):
+        from repro import bench
+
+        result = bench.generation_benchmarks(rounds=1, warmup=0, batch=2,
+                                             max_len=8)
+        assert result["max_len"] == 8
+        assert result["steps"] == 7
+        assert result["incremental_tokens_per_second"] > 0
+
     def test_trace_gates_every_batch(self):
         from repro import bench
 

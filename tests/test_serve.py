@@ -2,6 +2,7 @@
 
 import json
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -102,6 +103,48 @@ class TestInferenceSession:
         session.predict(_inputs(5))
         assert session.samples_served == 5
         assert session.batches_served == 3  # ceil(5 / 2)
+
+
+class TestConcurrentSessions:
+    """Two sessions forwarding at once must not share any buffers."""
+
+    CALLS = 500
+
+    @pytest.mark.parametrize("compile", [True, False])
+    def test_two_models_on_two_threads_match_serial_answers(self, compile):
+        models = [_tiny_model(),
+                  SimpleCNN(num_classes=4, neuron_type="linear", base_width=4,
+                            image_size=8, seed=5)]
+        batches = [_inputs(2, seed=seed) for seed in range(4)]
+        sessions = [InferenceSession(model, compile=compile) for model in models]
+        references = [[session.predict(x) for x in batches] for session in sessions]
+        mismatches = [0, 0]
+        errors = []
+
+        def hammer(index):
+            session, expected = sessions[index], references[index]
+            try:
+                for call in range(self.CALLS):
+                    which = call % len(batches)
+                    if not np.array_equal(session.predict(batches[which]),
+                                          expected[which]):
+                        mismatches[index] += 1
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(index,))
+                       for index in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert mismatches == [0, 0]
 
 
 class TestPipeline:

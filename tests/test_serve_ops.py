@@ -163,8 +163,9 @@ class TestReloadUnderStorm:
 
     def test_zero_failed_requests_across_repeated_reloads(self, bundles):
         """The acceptance criterion: an 8-client storm spanning several hot
-        reloads completes with zero errors, and every retired engine is
-        closed without leaking its scheduler thread."""
+        reloads completes with zero errors, every answer is the quad or the
+        linear bundle's serial answer for that input, and every retired
+        engine is closed without leaking its scheduler thread."""
         quad, linear = bundles
         options = {"engine": "batched", "compile": False, "warm": False,
                    "max_wait_ms": 0.5}
@@ -176,6 +177,11 @@ class TestReloadUnderStorm:
         retired_engines = []
         errors: list[Exception] = []
         successes = []
+        wrong_answers = []
+        serial = {"engine": "direct", "compile": False, "warm": False}
+        expected = [[load(bundle, **serial).predict(_inputs(2, seed=i))
+                     for bundle in bundles]
+                    for i in range(self.REQUESTS_EACH)]
         barrier = threading.Barrier(self.CLIENTS + 1)
 
         def client():
@@ -184,6 +190,9 @@ class TestReloadUnderStorm:
                 for i in range(self.REQUESTS_EACH):
                     classes = model.predict(_inputs(2, seed=i))
                     successes.append(classes.shape)
+                    if not any(np.array_equal(classes, answer)
+                               for answer in expected[i]):
+                        wrong_answers.append((i, classes))
             except Exception as error:  # noqa: BLE001 — asserted below
                 errors.append(error)
 
@@ -199,6 +208,7 @@ class TestReloadUnderStorm:
 
         assert errors == []
         assert len(successes) == self.CLIENTS * self.REQUESTS_EACH
+        assert wrong_answers == []
         assert model.stats()["bundle"]["reloads"] == 3
         for engine in retired_engines:
             assert engine.stats()["closed"] is True
