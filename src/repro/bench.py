@@ -37,9 +37,9 @@ import numpy as np
 from .experiments.runner import default_cache_dir, run_many
 from .io.serialization import atomic_write_json
 
-__all__ = ["time_callable", "fused_kernel_benchmarks", "inference_benchmarks",
-           "serving_benchmarks", "pool_benchmarks", "trace_benchmarks",
-           "generation_benchmarks", "training_benchmarks",
+__all__ = ["time_callable", "time_alternating", "fused_kernel_benchmarks",
+           "inference_benchmarks", "serving_benchmarks", "pool_benchmarks",
+           "trace_benchmarks", "generation_benchmarks", "training_benchmarks",
            "benchmark_experiments", "Micro", "MICROS", "select",
            "environment", "build_summary", "check_gates", "write_summary"]
 
@@ -55,19 +55,28 @@ FUSED_BENCH_KEYS = {
 
 def time_callable(function, rounds: int = 10, warmup: int = 1) -> dict:
     """Wall-clock statistics for ``rounds`` calls of ``function()``."""
+    return time_alternating([function], rounds=rounds, warmup=warmup)[0]
+
+
+def time_alternating(functions, rounds: int = 10, warmup: int = 1) -> list[dict]:
+    """:func:`time_callable` statistics for each of ``functions``, called in
+    turn once per round, so a change in machine load mid-run lands on all of
+    them alike instead of on whichever ran during it."""
     for _ in range(warmup):
-        function()
-    samples = []
+        for function in functions:
+            function()
+    samples = [[] for _ in functions]
     for _ in range(rounds):
-        started = time.perf_counter()
-        function()
-        samples.append(time.perf_counter() - started)
-    return {
-        "mean_seconds": statistics.fmean(samples),
-        "min_seconds": min(samples),
-        "stddev_seconds": statistics.stdev(samples) if len(samples) > 1 else 0.0,
+        for function, times in zip(functions, samples):
+            started = time.perf_counter()
+            function()
+            times.append(time.perf_counter() - started)
+    return [{
+        "mean_seconds": statistics.fmean(times),
+        "min_seconds": min(times),
+        "stddev_seconds": statistics.stdev(times) if len(times) > 1 else 0.0,
         "rounds": rounds,
-    }
+    } for times in samples]
 
 
 def _speedup(slow: dict, fast: dict) -> dict:
@@ -372,7 +381,10 @@ def trace_benchmarks(rounds: int = 100, warmup: int = 10,
     is dispatched op-by-op execution vs replaying the compiled
     :class:`~repro.tensor.plan.ExecutionPlan`, so the ratio isolates what the
     compiler saves: per-op registry lookup, Tensor/OpContext construction,
-    and per-op output allocation (fused chains + arena buffers).
+    and per-op output allocation (fused chains + arena buffers).  The two are
+    timed alternately, one dispatched call and then one replay per round
+    (:func:`time_alternating`): timed in two blocks, load that changed
+    between the blocks swung the ratio by more than the gate's margin.
 
     The gated micro uses ``mlp_classifier`` — small dense matmuls, so the
     forward is dispatch-overhead-dominated and the ratio directly measures
@@ -397,11 +409,10 @@ def trace_benchmarks(rounds: int = 100, warmup: int = 10,
                 entry["fallback"] = True
             else:
                 with no_grad():
-                    dispatched = time_callable(
-                        lambda: model(Tensor(inputs)).data,
+                    dispatched, traced = time_alternating(
+                        [lambda: model(Tensor(inputs)).data,
+                         lambda: plan.replay(inputs)],
                         rounds=rounds, warmup=warmup)
-                    traced = time_callable(lambda: plan.replay(inputs),
-                                           rounds=rounds, warmup=warmup)
                 entry = {"dispatched": dispatched, "traced": traced,
                          **_speedup(dispatched, traced)}
                 plan_info = {k: v for k, v in plan.describe().items()

@@ -26,7 +26,8 @@ Conventions
 * ``forward(ctx, *arrays, **kwargs) -> ndarray``.  ``ctx`` is an
   :class:`OpContext`; anything the VJP needs besides the raw inputs is stored
   on ``ctx.saved`` (only when ``ctx.requires_grad`` is set — inference-mode
-  calls skip the bookkeeping).
+  calls skip the bookkeeping).  Elementwise forwards also take ``out=None``
+  and write their result through it (see :class:`OpDef`).
 * ``vjp(ctx, grad, needs) -> tuple`` aligned with the inputs.  ``needs[i]``
   tells the VJP whether input ``i`` requires a gradient; entries for inputs
   that do not may be ``None``.
@@ -94,23 +95,21 @@ class OpDef:
     ``elementwise`` marks ops that map inputs to the output point-by-point
     (after broadcasting) with no cross-element data flow; the trace compiler
     (:mod:`repro.tensor.plan`) may fuse chains of such ops and write their
-    results into preallocated arena buffers.  ``forward_out`` is the
-    out-parameter twin of ``forward`` used for that: ``forward_out(out,
-    *arrays, **kwargs)`` must produce **bit-identical** results to ``forward``
-    while writing into ``out`` (which is allowed to alias an input array).
+    results into preallocated arena buffers.  Their ``forward`` takes an
+    ``out=None`` keyword for that: given an array, it writes the result there
+    and returns it, **bit-identical** to the call without ``out`` (which is
+    allowed to alias an input array, so the result must be written last).
     """
 
-    __slots__ = ("name", "forward", "vjp", "sample", "elementwise", "forward_out")
+    __slots__ = ("name", "forward", "vjp", "sample", "elementwise")
 
     def __init__(self, name: str, forward: Callable, vjp: Callable,
-                 sample: Callable | None = None, elementwise: bool = False,
-                 forward_out: Callable | None = None):
+                 sample: Callable | None = None, elementwise: bool = False):
         self.name = name
         self.forward = forward
         self.vjp = vjp
         self.sample = sample
         self.elementwise = elementwise
-        self.forward_out = forward_out
 
     def __repr__(self) -> str:
         return f"OpDef({self.name!r})"
@@ -120,12 +119,11 @@ OPS: dict[str, OpDef] = {}
 
 
 def register_op(name: str, forward: Callable, vjp: Callable,
-                sample: Callable | None = None, *, elementwise: bool = False,
-                forward_out: Callable | None = None) -> OpDef:
+                sample: Callable | None = None, *, elementwise: bool = False) -> OpDef:
     """Register a primitive; raises if ``name`` is already taken."""
     if name in OPS:
         raise ValueError(f"op '{name}' is already registered")
-    opdef = OpDef(name, forward, vjp, sample, elementwise, forward_out)
+    opdef = OpDef(name, forward, vjp, sample, elementwise)
     OPS[name] = opdef
     return opdef
 
@@ -193,12 +191,8 @@ def _distinct(rng, *shape, scale: float = 0.1):
 # Arithmetic primitives
 # ---------------------------------------------------------------------------
 
-def _add_fw(ctx, a, b):
-    return a + b
-
-
-def _add_out(out, a, b):
-    np.add(a, b, out=out)
+def _add_fw(ctx, a, b, out=None):
+    return np.add(a, b, out=out)
 
 
 def _add_vjp(ctx, grad, needs):
@@ -209,15 +203,11 @@ def _add_vjp(ctx, grad, needs):
 
 register_op("add", _add_fw, _add_vjp,
             sample=lambda rng: ([_sn(rng, 2, 3), _sn(rng, 3)], {}),
-            elementwise=True, forward_out=_add_out)
+            elementwise=True)
 
 
-def _sub_fw(ctx, a, b):
-    return a - b
-
-
-def _sub_out(out, a, b):
-    np.subtract(a, b, out=out)
+def _sub_fw(ctx, a, b, out=None):
+    return np.subtract(a, b, out=out)
 
 
 def _sub_vjp(ctx, grad, needs):
@@ -228,15 +218,11 @@ def _sub_vjp(ctx, grad, needs):
 
 register_op("sub", _sub_fw, _sub_vjp,
             sample=lambda rng: ([_sn(rng, 2, 3), _sn(rng, 1, 3)], {}),
-            elementwise=True, forward_out=_sub_out)
+            elementwise=True)
 
 
-def _neg_fw(ctx, a):
-    return -a
-
-
-def _neg_out(out, a):
-    np.negative(a, out=out)
+def _neg_fw(ctx, a, out=None):
+    return np.negative(a, out=out)
 
 
 def _neg_vjp(ctx, grad, needs):
@@ -244,15 +230,11 @@ def _neg_vjp(ctx, grad, needs):
 
 
 register_op("neg", _neg_fw, _neg_vjp, sample=lambda rng: ([_sn(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_neg_out)
+            elementwise=True)
 
 
-def _mul_fw(ctx, a, b):
-    return a * b
-
-
-def _mul_out(out, a, b):
-    np.multiply(a, b, out=out)
+def _mul_fw(ctx, a, b, out=None):
+    return np.multiply(a, b, out=out)
 
 
 def _mul_vjp(ctx, grad, needs):
@@ -263,15 +245,11 @@ def _mul_vjp(ctx, grad, needs):
 
 register_op("mul", _mul_fw, _mul_vjp,
             sample=lambda rng: ([_sn(rng, 2, 3, 4), _sn(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_mul_out)
+            elementwise=True)
 
 
-def _div_fw(ctx, a, b):
-    return a / b
-
-
-def _div_out(out, a, b):
-    np.divide(a, b, out=out)
+def _div_fw(ctx, a, b, out=None):
+    return np.divide(a, b, out=out)
 
 
 def _div_vjp(ctx, grad, needs):
@@ -282,15 +260,13 @@ def _div_vjp(ctx, grad, needs):
 
 register_op("div", _div_fw, _div_vjp,
             sample=lambda rng: ([_sn(rng, 3, 3), _positive(rng, 3, 3)], {}),
-            elementwise=True, forward_out=_div_out)
+            elementwise=True)
 
 
-def _pow_fw(ctx, a, exponent):
-    return a ** exponent
-
-
-def _pow_out(out, a, exponent):
-    np.power(a, exponent, out=out)
+def _pow_fw(ctx, a, exponent, out=None):
+    # ``a ** 2``, ``a ** 0.5`` and ``a ** -1`` run square/sqrt/reciprocal;
+    # ``np.power`` gives the same bytes at those exponents and takes ``out``.
+    return np.power(a, exponent, out=out)
 
 
 def _pow_vjp(ctx, grad, needs):
@@ -301,7 +277,7 @@ def _pow_vjp(ctx, grad, needs):
 
 register_op("pow", _pow_fw, _pow_vjp,
             sample=lambda rng: ([_sn(rng, 3, 4)], {"exponent": 3.0}),
-            elementwise=True, forward_out=_pow_out)
+            elementwise=True)
 
 
 def _matmul_fw(ctx, a, b):
@@ -338,14 +314,10 @@ register_op("matmul", _matmul_fw, _matmul_vjp,
             sample=lambda rng: ([_sn(rng, 2, 3, 4), _sn(rng, 4, 5)], {}))
 
 
-def _maximum_fw(ctx, a, b):
+def _maximum_fw(ctx, a, b, out=None):
     if ctx.requires_grad:
         ctx.saved = a >= b
-    return np.maximum(a, b)
-
-
-def _maximum_out(out, a, b):
-    np.maximum(a, b, out=out)
+    return np.maximum(a, b, out=out)
 
 
 def _maximum_vjp(ctx, grad, needs):
@@ -361,22 +333,18 @@ def _maximum_sample(rng):
 
 
 register_op("maximum", _maximum_fw, _maximum_vjp, sample=_maximum_sample,
-            elementwise=True, forward_out=_maximum_out)
+            elementwise=True)
 
 
 # ---------------------------------------------------------------------------
 # Elementwise functions
 # ---------------------------------------------------------------------------
 
-def _exp_fw(ctx, a):
-    value = np.exp(a)
+def _exp_fw(ctx, a, out=None):
+    value = np.exp(a, out=out)
     if ctx.requires_grad:
         ctx.saved = value
     return value
-
-
-def _exp_out(out, a):
-    np.exp(a, out=out)
 
 
 def _exp_vjp(ctx, grad, needs):
@@ -384,15 +352,11 @@ def _exp_vjp(ctx, grad, needs):
 
 
 register_op("exp", _exp_fw, _exp_vjp, sample=lambda rng: ([_sn(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_exp_out)
+            elementwise=True)
 
 
-def _log_fw(ctx, a):
-    return np.log(a)
-
-
-def _log_out(out, a):
-    np.log(a, out=out)
+def _log_fw(ctx, a, out=None):
+    return np.log(a, out=out)
 
 
 def _log_vjp(ctx, grad, needs):
@@ -400,18 +364,14 @@ def _log_vjp(ctx, grad, needs):
 
 
 register_op("log", _log_fw, _log_vjp, sample=lambda rng: ([_positive(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_log_out)
+            elementwise=True)
 
 
-def _sqrt_fw(ctx, a):
-    value = np.sqrt(a)
+def _sqrt_fw(ctx, a, out=None):
+    value = np.sqrt(a, out=out)
     if ctx.requires_grad:
         ctx.saved = value
     return value
-
-
-def _sqrt_out(out, a):
-    np.sqrt(a, out=out)
 
 
 def _sqrt_vjp(ctx, grad, needs):
@@ -419,15 +379,11 @@ def _sqrt_vjp(ctx, grad, needs):
 
 
 register_op("sqrt", _sqrt_fw, _sqrt_vjp, sample=lambda rng: ([_positive(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_sqrt_out)
+            elementwise=True)
 
 
-def _abs_fw(ctx, a):
-    return np.abs(a)
-
-
-def _abs_out(out, a):
-    np.absolute(a, out=out)
+def _abs_fw(ctx, a, out=None):
+    return np.absolute(a, out=out)
 
 
 def _abs_vjp(ctx, grad, needs):
@@ -435,18 +391,14 @@ def _abs_vjp(ctx, grad, needs):
 
 
 register_op("abs", _abs_fw, _abs_vjp, sample=lambda rng: ([_away_from_zero(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_abs_out)
+            elementwise=True)
 
 
-def _tanh_fw(ctx, a):
-    value = np.tanh(a)
+def _tanh_fw(ctx, a, out=None):
+    value = np.tanh(a, out=out)
     if ctx.requires_grad:
         ctx.saved = value
     return value
-
-
-def _tanh_out(out, a):
-    np.tanh(a, out=out)
 
 
 def _tanh_vjp(ctx, grad, needs):
@@ -454,24 +406,19 @@ def _tanh_vjp(ctx, grad, needs):
 
 
 register_op("tanh", _tanh_fw, _tanh_vjp, sample=lambda rng: ([_sn(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_tanh_out)
+            elementwise=True)
 
 
-def _sigmoid_fw(ctx, a):
-    value = 1.0 / (1.0 + np.exp(-a))
+def _sigmoid_fw(ctx, a, out=None):
+    # ``1.0 / (1.0 + np.exp(-a))`` one ufunc at a time, so ``out`` holds
+    # every step (it may alias ``a``: each ufunc reads before it stores).
+    value = np.negative(a, out=out)
+    value = np.exp(value, out=out)
+    value = np.add(value, 1.0, out=out)
+    value = np.divide(1.0, value, out=out)
     if ctx.requires_grad:
         ctx.saved = value
     return value
-
-
-def _sigmoid_out(out, a):
-    # Mirrors ``1.0 / (1.0 + np.exp(-a))`` ufunc-by-ufunc so the result is
-    # bit-identical to ``_sigmoid_fw`` while using ``out`` as scratch (``out``
-    # may alias ``a``; each ufunc reads its input before the aliased store).
-    np.negative(a, out=out)
-    np.exp(out, out=out)
-    np.add(out, 1.0, out=out)
-    np.divide(1.0, out, out=out)
 
 
 def _sigmoid_vjp(ctx, grad, needs):
@@ -480,20 +427,15 @@ def _sigmoid_vjp(ctx, grad, needs):
 
 
 register_op("sigmoid", _sigmoid_fw, _sigmoid_vjp, sample=lambda rng: ([_sn(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_sigmoid_out)
+            elementwise=True)
 
 
-def _relu_fw(ctx, a):
+def _relu_fw(ctx, a, out=None):
+    # ``a * (a > 0)``, not ``np.maximum(a, 0)``, which differs on -0.0.
     mask = a > 0
     if ctx.requires_grad:
         ctx.saved = mask
-    return a * mask
-
-
-def _relu_out(out, a):
-    # ``a * (a > 0)``, not ``np.maximum(a, 0)``: the mask form propagates the
-    # sign of -0.0 exactly like ``_relu_fw`` does.
-    np.multiply(a, a > 0, out=out)
+    return np.multiply(a, mask, out=out)
 
 
 def _relu_vjp(ctx, grad, needs):
@@ -502,20 +444,15 @@ def _relu_vjp(ctx, grad, needs):
 
 register_op("relu", _relu_fw, _relu_vjp,
             sample=lambda rng: ([_away_from_zero(rng, 3, 4)], {}),
-            elementwise=True, forward_out=_relu_out)
+            elementwise=True)
 
 
-def _gelu_fw(ctx, a):
+def _gelu_fw(ctx, a, out=None):
     cdf = 0.5 * (1.0 + special.erf(a / math.sqrt(2.0)))
     if ctx.requires_grad:
         pdf = np.exp(-0.5 * a ** 2) / math.sqrt(2.0 * math.pi)
         ctx.saved = cdf + a * pdf
-    return a * cdf
-
-
-def _gelu_out(out, a):
-    cdf = 0.5 * (1.0 + special.erf(a / math.sqrt(2.0)))
-    np.multiply(a, cdf, out=out)
+    return np.multiply(a, cdf, out=out)
 
 
 def _gelu_vjp(ctx, grad, needs):
@@ -523,10 +460,10 @@ def _gelu_vjp(ctx, grad, needs):
 
 
 register_op("gelu", _gelu_fw, _gelu_vjp, sample=lambda rng: ([_sn(rng, 3, 5)], {}),
-            elementwise=True, forward_out=_gelu_out)
+            elementwise=True)
 
 
-def _clip_fw(ctx, a, min_value=None, max_value=None):
+def _clip_fw(ctx, a, min_value=None, max_value=None, out=None):
     if ctx.requires_grad:
         inside = np.ones_like(a, dtype=bool)
         if min_value is not None:
@@ -534,7 +471,7 @@ def _clip_fw(ctx, a, min_value=None, max_value=None):
         if max_value is not None:
             inside &= a <= max_value
         ctx.saved = inside
-    return np.clip(a, min_value, max_value)
+    return np.clip(a, min_value, max_value, out=out)
 
 
 def _clip_vjp(ctx, grad, needs):
@@ -552,12 +489,8 @@ def _clip_sample(rng):
     return [signs * magnitude], {"min_value": -0.5, "max_value": 0.5}
 
 
-def _clip_out(out, a, min_value=None, max_value=None):
-    np.clip(a, min_value, max_value, out=out)
-
-
 register_op("clip", _clip_fw, _clip_vjp, sample=_clip_sample,
-            elementwise=True, forward_out=_clip_out)
+            elementwise=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ time.
 Two optimizations are applied while lowering:
 
 **Elementwise fusion.**  Chains of registry-declared elementwise ops
-(``OpDef.elementwise`` with a ``forward_out`` executor) are collapsed into a
+(``OpDef.elementwise``, whose forwards take ``out=``) are collapsed into a
 single :class:`_ComposedStep` when every intermediate is consumed exactly
 once, by the next link of the chain.  Non-chain steps sitting between two
 links (e.g. a parameter ``reshape`` between BatchNorm's ``mul`` and ``add``)
@@ -21,6 +21,9 @@ writes through one arena buffer; intermediates never materialize.
 **Arena allocation.**  Every elementwise step's output buffer is preallocated
 once per plan (``np.empty`` with the traced shape/dtype) and reused across
 replays, so steady-state replay does not allocate for those steps at all.
+An elementwise step that fuses with nothing is a one-link
+:class:`_ComposedStep`: every link, alone or chained, calls its op's one
+``forward`` with ``out=`` the step's buffer.
 
 Arena ownership rules
 ---------------------
@@ -74,7 +77,8 @@ _PREV = object()
 
 
 class _OpStep:
-    """A non-fused step: calls the op's ``forward`` (fresh output array)."""
+    """A step outside the arena — a non-elementwise op or the plan output —
+    calling the op's ``forward`` for a fresh output array."""
 
     __slots__ = ("name", "forward", "refs", "kwargs", "out_slot")
 
@@ -93,35 +97,14 @@ class _OpStep:
             values[self.out_slot] = self.forward(_INFERENCE_CTX, *args)
 
 
-class _BufferedStep:
-    """An elementwise step writing into its preallocated arena buffer."""
-
-    __slots__ = ("name", "forward_out", "refs", "kwargs", "out_slot", "buffer")
-
-    def __init__(self, name, forward_out, refs, kwargs, out_slot, buffer):
-        self.name = name
-        self.forward_out = forward_out
-        self.refs = refs
-        self.kwargs = kwargs
-        self.out_slot = out_slot
-        self.buffer = buffer
-
-    def run(self, values, constants):
-        args = [values[r] if r >= 0 else constants[-r - 1] for r in self.refs]
-        if self.kwargs:
-            self.forward_out(self.buffer, *args, **self.kwargs)
-        else:
-            self.forward_out(self.buffer, *args)
-        values[self.out_slot] = self.buffer
-
-
 class _ComposedStep:
-    """A fused chain of elementwise ops sharing one arena buffer.
+    """A chain of one or more elementwise ops sharing one arena buffer.
 
-    ``parts`` is a list of ``(forward_out, refs, kwargs)``; refs may contain
+    ``parts`` is a list of ``(forward, refs, kwargs)``; refs may contain
     :data:`_PREV`, meaning "the chain buffer as written by the previous
     part".  Intermediates never land in the value table — only the final
-    result is published, under ``out_slot``.
+    result is published, under ``out_slot``.  A one-link step keeps its op's
+    name; a longer chain is named ``fused(a+b+…)``.
     """
 
     __slots__ = ("names", "parts", "out_slot", "buffer")
@@ -134,18 +117,17 @@ class _ComposedStep:
 
     @property
     def name(self) -> str:
+        if len(self.names) == 1:
+            return self.names[0]
         return "fused(" + "+".join(self.names) + ")"
 
     def run(self, values, constants):
         buffer = self.buffer
-        for forward_out, refs, kwargs in self.parts:
+        for forward, refs, kwargs in self.parts:
             args = [buffer if r is _PREV
                     else (values[r] if r >= 0 else constants[-r - 1])
                     for r in refs]
-            if kwargs:
-                forward_out(buffer, *args, **kwargs)
-            else:
-                forward_out(buffer, *args)
+            forward(_INFERENCE_CTX, *args, out=buffer, **kwargs)
         values[self.out_slot] = buffer
 
 
@@ -223,9 +205,7 @@ def compile_plan(trace: Trace) -> ExecutionPlan:
                 consumers.setdefault(ref, []).append(index)
 
     def fusible(step) -> bool:
-        opdef = OPS[step.name]
-        return (opdef.elementwise and opdef.forward_out is not None
-                and step.out_slot != output_slot)
+        return OPS[step.name].elementwise and step.out_slot != output_slot
 
     plan_steps: list = []
     emitted = [False] * len(steps)
@@ -235,24 +215,37 @@ def compile_plan(trace: Trace) -> ExecutionPlan:
     arena_buffers = 0
     arena_bytes = 0
 
-    def emit_single(index: int) -> None:
+    def emit_chain(chain: list[int]) -> None:
+        """One arena buffer and one :class:`_ComposedStep` for ``chain``."""
         nonlocal arena_buffers, arena_bytes
+        tail = steps[chain[-1]]
+        buffer = np.empty(tail.out_shape, tail.out_dtype)
+        arena_buffers += 1
+        arena_bytes += buffer.nbytes
+        parts = []
+        names = []
+        previous_slot = None
+        for index in chain:
+            step = steps[index]
+            refs = tuple(_PREV if (ref >= 0 and ref == previous_slot) else ref
+                         for ref in step.refs)
+            parts.append((OPS[step.name].forward, refs, step.kwargs))
+            names.append(step.name)
+            previous_slot = step.out_slot
+            emitted[index] = True
+        aliases_arena[tail.out_slot] = True
+        plan_steps.append(_ComposedStep(tuple(names), parts, tail.out_slot, buffer))
+
+    def emit_single(index: int) -> None:
         step = steps[index]
-        opdef = OPS[step.name]
         if fusible(step):
-            buffer = np.empty(step.out_shape, step.out_dtype)
-            arena_buffers += 1
-            arena_bytes += buffer.nbytes
-            aliases_arena[step.out_slot] = True
-            plan_steps.append(_BufferedStep(step.name, opdef.forward_out,
-                                            step.refs, step.kwargs,
-                                            step.out_slot, buffer))
-        else:
-            if step.name in _VIEW_OPS:
-                source = step.refs[0]
-                aliases_arena[step.out_slot] = source >= 0 and aliases_arena[source]
-            plan_steps.append(_OpStep(step.name, opdef.forward, step.refs,
-                                      step.kwargs, step.out_slot))
+            emit_chain([index])
+            return
+        if step.name in _VIEW_OPS:
+            source = step.refs[0]
+            aliases_arena[step.out_slot] = source >= 0 and aliases_arena[source]
+        plan_steps.append(_OpStep(step.name, OPS[step.name].forward, step.refs,
+                                  step.kwargs, step.out_slot))
         emitted[index] = True
 
     for start in range(len(steps)):
@@ -284,28 +277,10 @@ def compile_plan(trace: Trace) -> ExecutionPlan:
             tail = nxt
         for index in hoisted:
             emit_single(index)
-        if len(chain) == 1:
-            emit_single(start)
-            continue
-        buffer = np.empty(shape, dtype)
-        arena_buffers += 1
-        arena_bytes += buffer.nbytes
-        parts = []
-        names = []
-        previous_slot = None
-        for index in chain:
-            step = steps[index]
-            refs = tuple(_PREV if (ref >= 0 and ref == previous_slot) else ref
-                         for ref in step.refs)
-            parts.append((OPS[step.name].forward_out, refs, step.kwargs))
-            names.append(step.name)
-            previous_slot = step.out_slot
-            emitted[index] = True
-        aliases_arena[steps[tail].out_slot] = True
-        plan_steps.append(_ComposedStep(tuple(names), parts,
-                                        steps[tail].out_slot, buffer))
-        fused_chains += 1
-        fused_ops += len(chain)
+        emit_chain(chain)
+        if len(chain) > 1:
+            fused_chains += 1
+            fused_ops += len(chain)
 
     copy_output = aliases_arena[output_slot]
     return ExecutionPlan(
@@ -350,7 +325,7 @@ def _identical(a: np.ndarray, b: np.ndarray) -> bool:
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
 
 
-def compile_forward(function, *arrays, validate: bool = True):
+def compile_forward(function, *arrays):
     """Trace, compile, and validate ``function`` on example ``arrays``.
 
     Returns ``(plan, output)`` where ``output`` is the (dispatched) forward
@@ -365,24 +340,23 @@ def compile_forward(function, *arrays, validate: bool = True):
         return None, None
     output = trace.example_output
     plan = compile_plan(trace)
-    if validate:
-        # Anything going wrong from here on — including environmental
-        # failures like allocation errors — means the plan is unproven:
-        # fall back to dispatch rather than fail a request the normal
-        # path could serve.  (Model errors in the *trace* forward above
-        # propagate: dispatch would have raised them too.)
-        try:
-            fresh = _validation_inputs(arrays)
-            with no_grad():
-                expected = function(*[engine._TENSOR_CLS(a) for a in fresh])
-            if not isinstance(expected, engine._TENSOR_CLS):
-                return None, output
-            got = plan.replay(*fresh)
-            if not _identical(expected.data, got):
-                return None, output
-        except Exception:
+    # Anything going wrong from here on — including environmental failures
+    # like allocation errors — means the plan is unproven: fall back to
+    # dispatch rather than fail a request the normal path could serve.
+    # (Model errors in the *trace* forward above propagate: dispatch would
+    # have raised them too.)
+    try:
+        fresh = _validation_inputs(arrays)
+        with no_grad():
+            expected = function(*[engine._TENSOR_CLS(a) for a in fresh])
+        if not isinstance(expected, engine._TENSOR_CLS):
             return None, output
-        plan.replays = 0
+        got = plan.replay(*fresh)
+        if not _identical(expected.data, got):
+            return None, output
+    except Exception:
+        return None, output
+    plan.replays = 0
     return plan, output
 
 

@@ -8,6 +8,7 @@ from repro.models import CifarResNet, MLPClassifier, SimpleCNN, Transformer
 from repro.models.resnet import ResNet18
 from repro.serve import InferenceSession
 from repro.tensor import Tensor, apply_op, graph_nodes_created, no_grad
+from repro.tensor.ops import OPS, OpContext
 from repro.tensor.plan import (
     FALLBACK,
     PlanCache,
@@ -136,8 +137,9 @@ class TestFusionAndArena:
 
         x = _float_inputs(2, (4,))
         plan = compile_plan(record_trace(forward, x))
-        composed = [s for s in plan.steps if isinstance(s, _ComposedStep)]
-        assert [s.name for s in composed] == ["fused(relu+mul)"]
+        chains = [s for s in plan.steps
+                  if isinstance(s, _ComposedStep) and len(s.names) > 1]
+        assert [s.name for s in chains] == ["fused(relu+mul)"]
         with no_grad():
             expected = forward(Tensor(x)).data
         assert plan.replay(x).tobytes() == expected.tobytes()
@@ -193,6 +195,69 @@ class TestFusionAndArena:
         np.multiply(weight.data, 10.0, out=weight.data)  # in-place update
         after = plan.replay(x)
         assert after == pytest.approx(before * 10.0)
+
+
+def _out_contract_cases():
+    """Every elementwise op at float32/float64; ``pow`` also at the exponents
+    ``a ** e`` special-cases (square, sqrt, reciprocal)."""
+    for name in sorted(n for n, opdef in OPS.items() if opdef.elementwise):
+        for dtype in (np.float32, np.float64):
+            exponents = (None, 2, 0.5, -1) if name == "pow" else (None,)
+            for exponent in exponents:
+                label = name if exponent is None else f"{name}**{exponent}"
+                yield pytest.param(name, dtype, exponent,
+                                   id=f"{label}-{np.dtype(dtype).name}")
+
+
+def _out_contract_inputs(name, dtype, exponent):
+    inputs, kwargs = OPS[name].sample(np.random.default_rng(0))
+    inputs = [np.asarray(x, dtype=dtype) for x in inputs]
+    if exponent is not None:
+        inputs = [np.abs(x) + 0.5 for x in inputs]  # sqrt/reciprocal-safe
+        kwargs = {**kwargs, "exponent": exponent}
+    return inputs, kwargs
+
+
+class TestElementwiseOutContract:
+    """Plans run every elementwise op through ``forward(..., out=buffer)``;
+    that call must write the exact bytes the dispatched call returns."""
+
+    @pytest.mark.parametrize("name,dtype,exponent", _out_contract_cases())
+    def test_out_returns_buffer_with_dispatch_bytes(self, name, dtype, exponent):
+        inputs, kwargs = _out_contract_inputs(name, dtype, exponent)
+        forward = OPS[name].forward
+        ctx = OpContext(tuple(inputs), kwargs, False)
+        expected = np.asarray(forward(ctx, *inputs, **kwargs))
+        buffer = np.full(expected.shape, 7, expected.dtype)
+        assert forward(ctx, *inputs, out=buffer, **kwargs) is buffer
+        assert buffer.tobytes() == expected.tobytes()
+
+        first = inputs[0]
+        if first.shape == expected.shape and first.dtype == expected.dtype:
+            alias = first.copy()
+            result = forward(ctx, alias, *inputs[1:], out=alias, **kwargs)
+            assert result is alias
+            assert alias.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name,dtype,exponent", _out_contract_cases())
+    def test_one_op_plan_replays_dispatch_bytes(self, name, dtype, exponent):
+        inputs, kwargs = _out_contract_inputs(name, dtype, exponent)
+
+        def forward(*tensors):
+            # The reshape keeps the op off the output step, so it lowers to
+            # an arena step writing through ``out=``.
+            return apply_op(name, *tensors, **kwargs).reshape(-1)
+
+        with np.errstate(all="ignore"):  # validation draws negative inputs
+            plan, _ = compile_forward(forward, *inputs)
+            assert plan is not None, f"{name} plan fell back to dispatch"
+            assert [s.names for s in plan.steps
+                    if isinstance(s, _ComposedStep)] == [(name,)]
+            with no_grad():
+                expected = forward(*[Tensor(x) for x in inputs]).data
+            replayed = plan.replay(*inputs)
+        assert replayed.dtype == expected.dtype
+        assert replayed.tobytes() == expected.tobytes()
 
 
 class TestTraceRecording:
