@@ -1,9 +1,4 @@
-"""Pytest bootstrap: make ``src/`` importable without an installed package.
-
-The package is normally installed with ``pip install -e .``; this fallback
-keeps the test and benchmark suites runnable in offline environments where the
-editable-install machinery (PEP 660 / wheel) is unavailable.
-"""
+"""Pytest bootstrap: make ``src/`` importable without an installed package."""
 
 import os
 import sys

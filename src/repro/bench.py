@@ -10,14 +10,13 @@ same machinery the sweeps use:
 * **Micro-benchmarks** are described once, in the :data:`MICROS` table: how
   each runs, where its result lands in the summary and how to read its
   ``(mean, best-of-rounds)`` speedup ratios.  The fused-kernel micro keeps
-  the workloads (and result keys) of ``benchmarks/test_bench_fused_ops.py``
-  so the speedup trajectory stays comparable across PRs.
+  its workloads and result keys fixed so the speedup trajectory stays
+  comparable across PRs.
 
 :func:`check_gates` is the CI gate: it fails the run when a gated micro's
 speedup regresses below its floor (``repro bench --gate NAME=RATIO``).
 ``python -m repro bench fig4 table2 --scale smoke`` times the headline
-repros; the pytest-benchmark suite under ``benchmarks/`` remains for
-interactive profiling.
+repros.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def _default_worker_counts() -> tuple[int, ...]:
 
 
 def _fused_workloads():
-    """The fused-vs-unfused training-step pairs (same shapes as the pytest suite)."""
+    """The fused-vs-unfused training-step pairs (one dense, one conv layer)."""
     from .quadratic import EfficientQuadraticConv2d, EfficientQuadraticLinear
     from .tensor import Tensor
 

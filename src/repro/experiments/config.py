@@ -5,9 +5,8 @@ dataset size, image resolution, network width and training budget.  Three
 presets are provided:
 
 * ``smoke``  — seconds per experiment; used by the test suite.
-* ``bench``  — the default for the pytest-benchmark harness (a couple of
-  minutes for the full suite on a laptop CPU); large enough for the paper's
-  qualitative trends to emerge.
+* ``bench``  — a couple of minutes for the full sweep on a laptop CPU;
+  large enough for the paper's qualitative trends to emerge.
 * ``paper``  — the closest practical approximation of the paper's settings
   (full CIFAR-style widths and depths).  Training at this scale on the NumPy
   substrate takes hours and is not run in CI; the preset exists so the exact

@@ -10,10 +10,10 @@ object.
 
 Every predictor added to the router is wrapped in a
 :class:`~repro.serve.ops.ManagedModel`, which is what makes the mount table
-*operable*: the router exposes per-model hot reload, canary/shadow staging,
-promote, and clear-canary — the verbs behind the
-``/v1/admin/models/<name>/...`` HTTP API — and its per-model stats carry
-latency histograms and admission gauges.
+*operable*: ``router.get(name)`` returns the model whose hot reload,
+canary/shadow staging, promote and clear-canary are the verbs behind the
+``/v1/admin/models/<name>/...`` HTTP API, and the router's per-model stats
+carry latency histograms and admission gauges.
 """
 
 from __future__ import annotations
@@ -111,28 +111,6 @@ class ModelRouter:
 
     def __contains__(self, name) -> bool:
         return name in self._models
-
-    # -- control plane (the admin API's verbs) ---------------------------------
-
-    def reload(self, name: str | None = None, bundle: str | None = None) -> dict:
-        """Hot-swap one model's bundle; see :meth:`ManagedModel.reload`."""
-        return self.get(name).reload(bundle=bundle)
-
-    def set_canary(self, name: str | None = None, bundle: str | None = None,
-                   percent: float = 10.0, shadow: bool = False) -> dict:
-        """Stage a candidate bundle on one model (split or shadow traffic)."""
-        if bundle is None:
-            raise ValueError("set_canary needs a candidate bundle path")
-        return self.get(name).set_canary(bundle, percent=percent,
-                                         shadow=shadow)
-
-    def promote(self, name: str | None = None) -> dict:
-        """Swap one model's staged canary in as its primary."""
-        return self.get(name).promote()
-
-    def clear_canary(self, name: str | None = None) -> dict:
-        """Retire one model's staged canary without touching its primary."""
-        return self.get(name).clear_canary()
 
     # -- introspection / lifecycle ---------------------------------------------
 

@@ -1,5 +1,7 @@
 """Smoke-scale integration tests for every experiment driver (one per table/figure)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,10 +34,13 @@ class TestConfig:
             get_scale("galactic")
 
     def test_with_overrides(self):
-        scale = SMOKE.with_overrides(epochs=7)
-        assert scale.epochs == 7
-        assert SMOKE.epochs != 7 or True  # original is frozen / unchanged
+        epochs = SMOKE.epochs
+        scale = SMOKE.with_overrides(epochs=epochs + 1)
+        assert scale.epochs == epochs + 1
+        assert SMOKE.epochs == epochs  # the preset itself is unchanged
         assert SMOKE is not scale
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SMOKE.epochs = 7
 
     def test_lr_milestones(self):
         scale = SMOKE.with_overrides(lr_milestone_fractions=(0.5, 0.75))
@@ -66,6 +71,8 @@ class TestTable1:
         by_name = {row["neuron"]: row for row in rows}
         assert by_name["proposed"]["parameters"] == 279
         assert by_name["proposed"]["macs"] == 288
+        assert by_name["proposed"]["parameters_per_output"] < \
+            by_name["quad2"]["parameters_per_output"]
         assert "proposed" in result["report"]
 
 
@@ -77,22 +84,26 @@ class TestFig4:
         assert {"model", "test_accuracy", "parameters", "macs"} <= set(result["rows"][0])
         assert len(result["comparisons"]) == len(SMOKE.resnet_depths) - 1
         # The quadratic network at depth d must be cheaper than the linear
-        # network at the next depth — this is the cost half of the Fig. 4 claim
-        # and it is exact regardless of training noise.
+        # network at the next depth by more than a quarter (the -29% / -50%
+        # arrows of Fig. 4).  Cost is exact regardless of training noise.
         for comparison in result["comparisons"]:
-            assert comparison["parameter_change"] < 0
-            assert comparison["mac_change"] < 0
+            assert comparison["parameter_change"] < -0.25
+            assert comparison["mac_change"] < -0.25
 
-    def test_paper_scale_costs_single_depth(self):
-        rows = fig4.paper_scale_costs(depths=(20,), rank=9, image_size=32, base_width=16)
-        by_neuron = {row["neuron"]: row for row in rows}
-        # ResNet-20 at CIFAR scale has ≈0.27 M parameters.  The quadratic variant
-        # stays close to it: the per-output overhead is < 1 parameter (Eq. 9),
-        # plus a ceiling effect because ceil(width / (k+1)) neurons are needed
-        # when k+1 does not divide the layer width (16/32 channels, k = 9).
-        assert by_neuron["linear"]["parameters_millions"] == pytest.approx(0.27, abs=0.03)
-        assert by_neuron["proposed"]["parameters_millions"] < \
-            1.15 * by_neuron["linear"]["parameters_millions"]
+    def test_paper_scale_costs(self):
+        rows = fig4.paper_scale_costs(depths=(20, 32), rank=9, image_size=32, base_width=16)
+        by_model = {row["model"]: row for row in rows}
+        # ResNet-20/32 at CIFAR scale have ≈0.27 M / ≈0.46 M parameters (the
+        # Fig. 4 x-axis).  The quadratic variant stays close to the linear one:
+        # the per-output overhead is < 1 parameter (Eq. 9), plus a ceiling
+        # effect because ceil(width / (k+1)) neurons are needed when k+1 does
+        # not divide the layer width (16/32 channels, k = 9).
+        assert by_model["ResNet-20/linear"]["parameters_millions"] == \
+            pytest.approx(0.27, abs=0.03)
+        assert by_model["ResNet-32/linear"]["parameters_millions"] == \
+            pytest.approx(0.46, abs=0.05)
+        assert by_model["ResNet-20/proposed"]["parameters_millions"] < \
+            1.15 * by_model["ResNet-20/linear"]["parameters_millions"]
 
 
 @pytest.mark.slow
@@ -103,9 +114,9 @@ class TestFig5:
         assert neurons == {"quad1", "quad2", "proposed"}
         assert result["savings"], "expected per-depth savings entries"
         for saving in result["savings"]:
-            # The proposed neuron must cost less than both prior quadratic neurons.
-            assert saving["parameter_change"] < -0.2
-            assert saving["mac_change"] < -0.2
+            # Paper: at least 24% fewer parameters and MACs than Quad-1 / Quad-2.
+            assert saving["parameter_change"] < -0.24
+            assert saving["mac_change"] < -0.24
 
 
 @pytest.mark.slow
@@ -118,6 +129,10 @@ class TestFig6:
         ours = next(report for report in result["reports"] if report["label"] == "Ours")
         assert not ours["diverged"]
         assert set(result["curves"]) == labels
+        # Deploying the neuron everywhere beats the kervolution configurations,
+        # which degrade or destabilize as more layers use them.
+        assert all(ours["best_train_accuracy"] >= report["best_train_accuracy"]
+                   for report in result["reports"] if report["label"].startswith("KNN-"))
 
 
 @pytest.mark.slow
@@ -128,6 +143,8 @@ class TestFig7:
         kinds = {row["kind"] for row in result["stats"]}
         assert kinds == {"linear", "quadratic"}
         assert len(result["significance"]) == result["summary"]["num_layers"]
+        # Fig. 7: the importance of the quadratic term differs a lot between layers.
+        assert result["summary"]["spread_ratio_max_to_min"] > 1.5
 
 
 @pytest.mark.slow
@@ -138,6 +155,10 @@ class TestFig8:
         summary = result["summary"]
         assert 0.0 <= summary["mean_linear_low_fraction"] <= 1.0
         assert 0.0 <= summary["mean_quadratic_low_fraction"] <= 1.0
+        for row in result["rows"]:
+            assert 0.0 <= row["linear_low_fraction"] <= 1.0
+            assert 0.0 <= row["quadratic_low_fraction"] <= 1.0
+            assert row["quadratic_response_std"] > 0
 
 
 @pytest.mark.slow
@@ -146,7 +167,8 @@ class TestTable2:
         scale = SMOKE.with_overrides(translation_epochs=2, transformer_lambda_lrs=(1e-4,))
         result = table2.run(scale)
         assert len(result["rows"]) == 4
-        assert result["parameters"]["parameter_change"] < 0
+        # Paper: the quadratic Transformer is roughly 20% smaller.
+        assert result["parameters"]["parameter_change"] < -0.10
         for row in result["rows"]:
             assert 0.0 <= row["baseline"] <= 100.0
             assert 0.0 <= row["quadratic_1e-04"] <= 100.0
@@ -165,6 +187,7 @@ class TestAblation:
     def test_rank_sweep(self):
         result = ablation.run_rank_sweep(SMOKE, ranks=(1, 3))
         assert [row["rank"] for row in result["rows"]] == [1, 3]
+        assert not any(row["diverged"] for row in result["rows"])
 
     def test_vectorized_output_ablation(self):
         result = ablation.run_vectorized_output_ablation(SMOKE)

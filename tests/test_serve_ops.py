@@ -409,24 +409,7 @@ class TestRouterControlPlane:
         with pytest.raises(EngineClosed, match="router is closed"):
             router.add("late", Predictor(_tiny_model()))
         with pytest.raises(EngineClosed):
-            router.reload("m")
-
-    def test_router_delegates_control_verbs(self, bundles):
-        quad, linear = bundles
-        router = ModelRouter()
-        router.add("m", load(quad, engine="direct", compile=False,
-                             warm=False), source=quad,
-                   load_options={"engine": "direct", "compile": False})
-        try:
-            assert router.reload("m")["status"] == "reloaded"
-            assert router.set_canary("m", bundle=linear,
-                                     percent=20.0)["status"] == "canary"
-            assert router.promote("m")["status"] == "promoted"
-            assert router.clear_canary("m")["status"] == "no-canary"
-            with pytest.raises(ValueError, match="candidate bundle"):
-                router.set_canary("m")
-        finally:
-            router.close()
+            router.get("m").reload()
 
 
 def _post_json(url: str, payload: dict | None = None, method: str = "POST"):
