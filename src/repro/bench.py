@@ -29,6 +29,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -512,9 +513,12 @@ def training_benchmarks(rounds: int = 2, warmup: int = 1, world_size: int = 4,
     Samples/sec per worker count lands under ``training`` in
     ``BENCH_autograd.json``.
 
-    The warmup round spawns the worker fleet, so process startup is excluded
-    from the timed rounds (steady-state training amortizes spawn over the
-    whole run).  ``speedup`` compares the largest fleet against inline
+    Every trainer and loader is built first; the epochs are then timed
+    alternately, one per worker count each round (:func:`time_alternating`),
+    so a change in machine load lands on every fleet alike instead of on
+    whichever was timed during it.  The warmup round spawns the worker
+    fleets, so process startup is excluded from the timed rounds
+    (steady-state training amortizes spawn over the whole run).  ``speedup`` compares the largest fleet against inline
     execution; that ratio is CI-gated (``--gate train=RATIO``) on
     multi-core runners — on one core the workers pay IPC for the same
     arithmetic and the recorded curve will honestly say so.
@@ -532,25 +536,28 @@ def training_benchmarks(rounds: int = 2, warmup: int = 1, world_size: int = 4,
     targets = rng.integers(0, 10, size=batches * batch_size)
     total_samples = batches * batch_size
 
-    def measure(workers: int) -> dict:
-        model = build_model("simple_cnn", num_classes=10, neuron_type="proposed",
-                            rank=3, base_width=8, image_size=16, seed=0)
-        optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
-        trainer = DataParallelTrainer(model, optimizer, CrossEntropyLoss(),
-                                      world_size=world_size, workers=workers,
-                                      seed=0)
-        loader = DataLoader(inputs, targets, batch_size=batch_size,
-                            shuffle=False, seed=0)
-        try:
-            timing = time_callable(lambda: trainer.train_epoch(loader),
-                                   rounds=rounds, warmup=warmup)
-        finally:
+    trainers = []
+    try:
+        for workers in worker_counts:
+            model = build_model("simple_cnn", num_classes=10, neuron_type="proposed",
+                                rank=3, base_width=8, image_size=16, seed=0)
+            optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
+            trainers.append(DataParallelTrainer(
+                model, optimizer, CrossEntropyLoss(), world_size=world_size,
+                workers=workers, seed=0))
+        epochs = [partial(trainer.train_epoch,
+                          DataLoader(inputs, targets, batch_size=batch_size,
+                                     shuffle=False, seed=0))
+                  for trainer in trainers]
+        timings = time_alternating(epochs, rounds=rounds, warmup=warmup)
+    finally:
+        for trainer in trainers:
             trainer.close()
+    results = {}
+    for workers, timing in zip(worker_counts, timings):
         timing["samples_per_second"] = total_samples / timing["mean_seconds"]
         timing["samples_per_second_best"] = total_samples / timing["min_seconds"]
-        return timing
-
-    results = {str(workers): measure(workers) for workers in worker_counts}
+        results[str(workers)] = timing
     return {
         "model": "simple_cnn/proposed",
         "world_size": world_size,

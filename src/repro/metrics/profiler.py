@@ -2,10 +2,13 @@
 
 The Fig. 4 / Fig. 5 sweeps plot accuracy against the number of parameters and
 the number of multiply-accumulate operations (MACs, reported by the paper as
-"FLOPs/MMacs").  This profiler runs a single forward pass, records every
-neuron layer's output shape through forward hooks, and computes MACs from the
-analytic per-neuron costs of Table I so the counts are exact and consistent
-with :mod:`repro.quadratic.complexity`.
+"FLOPs/MMacs").  This profiler runs a single forward pass and records every
+neuron layer's output shape through a forward hook.  A neuron layer is one
+whose class names its Table I formula in ``neuron_formula`` (a key of
+:data:`repro.quadratic.complexity.NEURON_FORMULAS`); every layer's MACs then
+follow one rule — output positions × neurons ×
+``neuron_complexity(neuron_formula, fan_in, rank).macs`` — so the counts are
+exact and consistent with :mod:`repro.quadratic.complexity`.
 
 As in the paper, only the neuron layers (convolutions and dense projections)
 are counted; normalization, activation, pooling and embedding costs are
@@ -22,27 +25,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..nn.layers import Conv2d, Linear
 from ..nn.module import Module
-from ..quadratic.baselines import (
-    FactorizedQuadraticConv2d,
-    FactorizedQuadraticLinear,
-    GeneralQuadraticConv2d,
-    GeneralQuadraticLinear,
-    PureQuadraticConv2d,
-    Quad1Conv2d,
-    Quad1Linear,
-    Quad2Conv2d,
-    Quad2Linear,
-    QuadraticResidualConv2d,
-    QuadraticResidualLinear,
-)
-from ..quadratic.complexity import neuron_complexity, proposed_mac_count
-from ..quadratic.efficient import EfficientQuadraticConv2d, EfficientQuadraticLinear
-from ..quadratic.kervolution import KervolutionConv2d, KervolutionLinear
-from ..tensor import Tensor, no_grad
+from ..quadratic.complexity import neuron_complexity
+from ..tensor import no_grad
 from ..tensor import engine as tensor_engine
 
 __all__ = ["LayerProfile", "ModelProfile", "profile_model",
@@ -91,103 +76,27 @@ class ModelProfile:
                 f"{self.total_macs:,} MACs ({self.macs_millions:.3f} MMac)")
 
 
-def _spatial_positions(output: Tensor) -> int:
-    shape = output.shape
-    if len(shape) == 4:
-        return int(shape[2] * shape[3])
-    if len(shape) == 3:
-        return int(shape[1])
-    return 1
+def _layer_macs(module: Module, output_shape: tuple) -> int:
+    """Output positions × neurons × the per-neuron MACs of Table I.
 
-
-def _macs_linear_like(module, output: Tensor, fan_in: int, outputs: int, per_output: int) -> int:
-    return _spatial_positions(output) * outputs * per_output
-
-
-def _macs_conv2d(module: Conv2d, output: Tensor) -> int:
-    fan_in = module.in_channels * module.kernel_size ** 2
-    return _spatial_positions(output) * module.out_channels * fan_in
-
-
-def _macs_dense_linear(module: Linear, output: Tensor) -> int:
-    return _spatial_positions(output) * module.out_features * module.in_features
-
-
-def _macs_proposed_conv(module: EfficientQuadraticConv2d, output: Tensor) -> int:
-    per_filter = proposed_mac_count(module.fan_in, module.rank)
-    return _spatial_positions(output) * module.num_filters * per_filter
-
-
-def _macs_proposed_dense(module: EfficientQuadraticLinear, output: Tensor) -> int:
-    per_neuron = proposed_mac_count(module.in_features, module.rank)
-    return _spatial_positions(output) * module.num_neurons * per_neuron
-
-
-def _macs_baseline_conv(neuron_type: str):
-    def compute(module, output: Tensor) -> int:
+    The proposed layers count their neurons (``num_filters`` /
+    ``num_neurons``), each emitting ``k + 1`` outputs; every other layer has
+    one neuron per output channel or feature.
+    """
+    if len(output_shape) == 4:
+        positions = output_shape[2] * output_shape[3]
+    elif len(output_shape) == 3:
+        positions = output_shape[1]
+    else:
+        positions = 1
+    if hasattr(module, "in_features"):
+        fan_in = module.in_features
+        neurons = getattr(module, "num_neurons", module.out_features)
+    else:
         fan_in = module.in_channels * module.kernel_size ** 2
-        rank = getattr(module, "rank", 1)
-        cost = neuron_complexity(neuron_type, fan_in, rank)
-        return _spatial_positions(output) * module.out_channels * cost.macs
-    return compute
-
-
-def _macs_baseline_dense(neuron_type: str):
-    def compute(module, output: Tensor) -> int:
-        rank = getattr(module, "rank", 1)
-        cost = neuron_complexity(neuron_type, module.in_features, rank)
-        return _spatial_positions(output) * module.out_features * cost.macs
-    return compute
-
-
-def _macs_kervolution_conv(module: KervolutionConv2d, output: Tensor) -> int:
-    fan_in = module.in_channels * module.kernel_size ** 2
-    return _spatial_positions(output) * module.out_channels * fan_in
-
-
-def _macs_kervolution_dense(module: KervolutionLinear, output: Tensor) -> int:
-    return _spatial_positions(output) * module.out_features * module.in_features
-
-
-_MAC_RULES = [
-    (EfficientQuadraticConv2d, _macs_proposed_conv),
-    (EfficientQuadraticLinear, _macs_proposed_dense),
-    (FactorizedQuadraticConv2d, _macs_baseline_conv("factorized")),
-    (FactorizedQuadraticLinear, _macs_baseline_dense("factorized")),
-    (GeneralQuadraticConv2d, _macs_baseline_conv("general")),
-    (GeneralQuadraticLinear, _macs_baseline_dense("general")),
-    (PureQuadraticConv2d, _macs_baseline_conv("pure")),
-    (Quad1Conv2d, _macs_baseline_conv("quad1")),
-    (Quad1Linear, _macs_baseline_dense("quad1")),
-    (Quad2Conv2d, _macs_baseline_conv("quad2")),
-    (Quad2Linear, _macs_baseline_dense("quad2")),
-    (QuadraticResidualConv2d, _macs_baseline_conv("quad_residual")),
-    (QuadraticResidualLinear, _macs_baseline_dense("quad_residual")),
-    (KervolutionConv2d, _macs_kervolution_conv),
-    (KervolutionLinear, _macs_kervolution_dense),
-    (Conv2d, _macs_conv2d),
-    (Linear, _macs_dense_linear),
-]
-
-
-def _rule_specificity(layer_class) -> int:
-    """Number of other rule classes ``layer_class`` derives from."""
-    return sum(1 for other, _ in _MAC_RULES
-               if other is not layer_class and issubclass(layer_class, other))
-
-
-# Most-derived-first ordering so that PureQuadraticConv2d matches its own
-# "pure" rule before the GeneralQuadraticConv2d base-class rule, and user
-# subclasses of Conv2d/Linear are still profiled via isinstance.
-_ORDERED_MAC_RULES = sorted(_MAC_RULES,
-                            key=lambda item: -_rule_specificity(item[0]))
-
-
-def _find_rule(module: Module):
-    for layer_class, rule in _ORDERED_MAC_RULES:
-        if isinstance(module, layer_class):
-            return rule
-    return None
+        neurons = getattr(module, "num_filters", module.out_channels)
+    cost = neuron_complexity(module.neuron_formula, fan_in, getattr(module, "rank", 1))
+    return int(positions * neurons * cost.macs)
 
 
 def profile_model(model: Module, *example_inputs, forward_fn=None) -> ModelProfile:
@@ -208,17 +117,17 @@ def profile_model(model: Module, *example_inputs, forward_fn=None) -> ModelProfi
     :class:`ModelProfile` with per-layer and total parameter / MAC counts.
     """
     records: list[tuple[str, Module, tuple]] = []
-    hooked: list[Module] = []
+    hooked: list[tuple[Module, object]] = []
 
     for name, module in model.named_modules():
-        if _find_rule(module) is None:
+        if module.neuron_formula is None:
             continue
 
         def hook(mod, inputs, output, _name=name):
             records.append((_name, mod, output.shape))
 
         module.register_forward_hook(hook)
-        hooked.append(module)
+        hooked.append((module, hook))
 
     was_training = model.training
     model.eval()
@@ -229,22 +138,19 @@ def profile_model(model: Module, *example_inputs, forward_fn=None) -> ModelProfi
             else:
                 model(*example_inputs)
     finally:
-        for module in hooked:
-            module.clear_forward_hooks()
+        for module, hook in hooked:
+            module.remove_forward_hook(hook)
         model.train(was_training)
 
     profile = ModelProfile()
     for name, module, output_shape in records:
-        rule = _find_rule(module)
-        dummy_output = Tensor(np.empty(output_shape, dtype=np.float32))
-        macs = int(rule(module, dummy_output))
-        layer = LayerProfile(
+        macs = _layer_macs(module, output_shape)
+        profile.layers.append(LayerProfile(
             name=name,
             layer_type=type(module).__name__,
             parameters=module.num_parameters(),
             macs=macs,
-            output_shape=tuple(output_shape))
-        profile.layers.append(layer)
+            output_shape=tuple(output_shape)))
         profile.total_macs += macs
     profile.total_parameters = model.num_parameters()
     return profile

@@ -29,6 +29,8 @@ __all__ = [
 class Linear(Module):
     """Fully connected layer ``y = x Wᵀ + b`` built from linear neurons."""
 
+    neuron_formula = "linear"
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: np.random.Generator | None = None):
         super().__init__()
@@ -47,6 +49,8 @@ class Linear(Module):
 
 class Conv2d(Module):
     """2-D convolution layer with square kernels."""
+
+    neuron_formula = "linear"
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,

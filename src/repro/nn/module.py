@@ -44,6 +44,11 @@ class Module:
     #: and such modules cannot be saved as servable bundles.
     model_spec: dict | None = None
 
+    #: Key of :data:`repro.quadratic.complexity.NEURON_FORMULAS` naming the
+    #: Table I cost of one neuron of this layer; ``None`` for layers that are
+    #: not neuron layers, which :func:`repro.metrics.profile_model` skips.
+    neuron_formula: str | None = None
+
     def __init__(self):
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
@@ -183,6 +188,10 @@ class Module:
         tools (to capture intermediate responses for Fig. 8).
         """
         self._forward_hooks.append(hook)
+
+    def remove_forward_hook(self, hook) -> None:
+        """Remove one hook added by :meth:`register_forward_hook`."""
+        self._forward_hooks.remove(hook)
 
     def clear_forward_hooks(self) -> None:
         self._forward_hooks = []

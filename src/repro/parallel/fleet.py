@@ -9,8 +9,8 @@ data-parallel trainer (:class:`~repro.training.DataParallelTrainer`,
 
 * **Parent side** — :class:`WorkerFleet`, a base class the owner inherits.
   Every worker has one long-lived dispatcher thread,
-  ``repro-<role>-dispatch-<rank>``, which spawns its worker
-  (``REPRO_MP_START`` policy, default ``spawn``) and then runs the owner's
+  ``repro-<role>-dispatch-<rank>``, which spawns its worker (always with
+  the ``spawn`` start method) and then runs the owner's
   jobs on it: :meth:`_submit` hands ``job(handle)`` to the next idle
   dispatcher and returns a :class:`~concurrent.futures.Future`.  Workers
   boot concurrently; :meth:`_start_workers` waits for every ready ack and
@@ -47,7 +47,7 @@ from concurrent.futures import Future
 from multiprocessing import get_context
 
 from .seeding import derive_seed, seed_task_globals
-from .worker import DEPTH_ENV, START_METHOD_ENV, effective_jobs, parallel_depth
+from .worker import DEPTH_ENV, effective_jobs, parallel_depth
 
 __all__ = ["WorkerFleet", "WorkerHandle", "serve_worker"]
 
@@ -110,7 +110,7 @@ class WorkerFleet:
         self.restarts = 0
         self._closed = False
         self._restarts_lock = threading.Lock()
-        self._context = get_context(os.environ.get(START_METHOD_ENV, "spawn"))
+        self._context = get_context("spawn")
         self._workers: list[WorkerHandle] = []
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._dispatchers: list[threading.Thread] = []

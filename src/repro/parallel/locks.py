@@ -19,9 +19,7 @@ try:  # pragma: no cover - exercised indirectly on POSIX
 except ImportError:  # pragma: no cover - Windows
     fcntl = None
 
-__all__ = ["FileLock", "LockTimeout", "HAVE_FCNTL"]
-
-HAVE_FCNTL = fcntl is not None
+__all__ = ["FileLock", "LockTimeout"]
 
 
 class LockTimeout(TimeoutError):

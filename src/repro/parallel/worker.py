@@ -2,9 +2,12 @@
 
 A :class:`~repro.parallel.executor.Task` never carries live objects — only a
 dotted ``"module:function"`` reference plus primitive kwargs — so the payload
-pickles trivially under any start method and the worker re-imports and
-re-resolves everything by name (the same way the experiment runner re-resolves
-an :class:`~repro.experiments.registry.ExperimentSpec` from the registry).
+pickles trivially and the worker re-imports and re-resolves everything by name
+(the same way the experiment runner re-resolves an
+:class:`~repro.experiments.registry.ExperimentSpec` from the registry).
+Workers always start with the ``spawn`` method, from a clean interpreter:
+``fork`` would leak the parent's dynamically registered specs and global RNG
+state into them and break the byte-identity of N workers against one.
 
 :func:`execute_task` converts *all* task exceptions into a structured failure
 payload (with the formatted traceback) instead of letting them propagate: a
@@ -31,13 +34,6 @@ DEPTH_ENV = "REPRO_PARALLEL_DEPTH"
 #: Environment variable naming the default worker count (set by the CLI so
 #: fan-outs deep inside experiment drivers inherit ``--jobs``).
 JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable selecting the multiprocessing start method.  The
-#: default is ``spawn``: workers start from a clean interpreter, which forces
-#: the re-resolve-by-name discipline and behaves identically on every
-#: platform (``fork`` would leak the parent's dynamically registered specs
-#: and global RNG state into the workers).
-START_METHOD_ENV = "REPRO_MP_START"
 
 
 def parallel_depth() -> int:

@@ -47,6 +47,8 @@ __all__ = [
 class GeneralQuadraticLinear(Module):
     """Dense layer of general quadratic neurons [17]: ``y = xᵀMx + wᵀx + b``."""
 
+    neuron_formula = "general"
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  quadratic_init: float = 0.01, rng: np.random.Generator | None = None):
         super().__init__()
@@ -70,6 +72,8 @@ class GeneralQuadraticLinear(Module):
 
 class FactorizedQuadraticLinear(Module):
     """Dense rank-k factorized quadratic neurons [18]: ``xᵀQ₁(Q₂)ᵀx + wᵀx``."""
+
+    neuron_formula = "factorized"
 
     def __init__(self, in_features: int, out_features: int, rank: int = 1, bias: bool = True,
                  rng: np.random.Generator | None = None):
@@ -98,6 +102,8 @@ class FactorizedQuadraticLinear(Module):
 class Quad1Linear(Module):
     """Dense Quad-1 neurons [19]: ``(w₁ᵀx)(w₂ᵀx) + w₃ᵀ(x⊙²) + b``."""
 
+    neuron_formula = "quad1"
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: np.random.Generator | None = None):
         super().__init__()
@@ -123,6 +129,8 @@ class Quad1Linear(Module):
 class Quad2Linear(Module):
     """Dense Quad-2 / QuadraLib neurons [21]: ``(w₁ᵀx)(w₂ᵀx) + w₃ᵀx + b``."""
 
+    neuron_formula = "quad2"
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: np.random.Generator | None = None):
         super().__init__()
@@ -146,6 +154,8 @@ class Quad2Linear(Module):
 
 class QuadraticResidualLinear(Module):
     """Dense quadratic-residual neurons [23]: ``(w₁ᵀx)(w₂ᵀx) + w₁ᵀx + b``."""
+
+    neuron_formula = "quad_residual"
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: np.random.Generator | None = None):
@@ -199,6 +209,8 @@ class _TripleConvBase(Module):
 class Quad2Conv2d(_TripleConvBase):
     """Convolutional Quad-2 / QuadraLib filter [21]: ``conv_a(x)·conv_b(x) + conv_c(x)``."""
 
+    neuron_formula = "quad2"
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, num_banks=3, **kwargs)
 
@@ -210,6 +222,8 @@ class Quad2Conv2d(_TripleConvBase):
 class Quad1Conv2d(_TripleConvBase):
     """Convolutional Quad-1 filter [19]: ``conv_a(x)·conv_b(x) + conv_c(x⊙²)``."""
 
+    neuron_formula = "quad1"
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, num_banks=3, **kwargs)
 
@@ -220,6 +234,8 @@ class Quad1Conv2d(_TripleConvBase):
 
 class QuadraticResidualConv2d(_TripleConvBase):
     """Convolutional quadratic-residual filter [23]: ``conv_a(x)·conv_b(x) + conv_a(x)``."""
+
+    neuron_formula = "quad_residual"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, num_banks=2, **kwargs)
@@ -236,6 +252,8 @@ class FactorizedQuadraticConv2d(Module):
     banks each hold ``out_channels * rank`` filters, so the cost grows linearly
     with the rank (this is the 2kn term of Table I the paper improves upon).
     """
+
+    neuron_formula = "factorized"
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, rank: int = 1, bias: bool = True,
@@ -276,6 +294,8 @@ class GeneralQuadraticConv2d(Module):
     the original work deploys these neurons only in the first layer.
     """
 
+    neuron_formula = "general"
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,
                  include_linear: bool = True, quadratic_init: float = 0.01,
@@ -312,6 +332,8 @@ class GeneralQuadraticConv2d(Module):
 
 class PureQuadraticConv2d(GeneralQuadraticConv2d):
     """Convolutional pure quadratic filter [16]: ``xᵀMx`` without a linear term."""
+
+    neuron_formula = "pure"
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, **kwargs):
         kwargs["include_linear"] = False

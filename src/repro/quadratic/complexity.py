@@ -6,8 +6,11 @@ function of the neuron fan-in ``n`` and, where applicable, the decomposition
 rank ``k``.  The counts deliberately ignore the bias term, matching the
 convention stated in Sec. II-B and Sec. III-C of the paper.
 
-The same counts are reused by :mod:`repro.metrics.profiler` to compute whole-
-model storage and FLOP budgets for the Fig. 4 / Fig. 5 sweeps.
+Every neuron layer class names its key of :data:`NEURON_FORMULAS` in its
+``neuron_formula`` attribute, and :func:`repro.metrics.profile_model` charges
+each such layer output positions × neurons ×
+``neuron_complexity(neuron_formula, fan_in, rank).macs`` for the whole-model
+MAC budgets of the Fig. 4 / Fig. 5 sweeps.
 """
 
 from __future__ import annotations

@@ -83,6 +83,7 @@ class EfficientQuadraticLinear(Module):
     to rounding (the hand-derived VJP sums in another order).
     """
 
+    neuron_formula = "proposed"
     use_fused = True
 
     def __init__(self, in_features: int, num_neurons: int, rank: int = 9,
@@ -200,6 +201,7 @@ class EfficientQuadraticConv2d(Module):
     ``use_fused = False`` to fall back to the composition.
     """
 
+    neuron_formula = "proposed"
     use_fused = True
 
     def __init__(self, in_channels: int, num_filters: int, kernel_size: int,

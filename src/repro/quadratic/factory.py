@@ -5,6 +5,13 @@ single ``neuron_type`` string switches an entire ResNet or Transformer between
 linear neurons, the proposed quadratic neuron, and every prior-work baseline.
 This mirrors how the paper swaps neuron structures while keeping the
 architecture fixed.
+
+:data:`CONV_NEURON_TYPES` and :data:`DENSE_NEURON_TYPES` map each type to the
+constructor of its layer class.  Every constructor takes the same geometry;
+the per-type differences are data: only the types in ``_RANKED_TYPES`` take
+``rank``, and plain ``linear`` layers take no neuron options.  A layer's cost
+is not kept here: each layer class names its Table I formula in
+``neuron_formula``, which :func:`repro.metrics.profile_model` reads.
 """
 
 from __future__ import annotations
@@ -33,6 +40,47 @@ __all__ = ["CONV_NEURON_TYPES", "DENSE_NEURON_TYPES", "make_conv", "make_dense",
            "neuron_conv2d", "neuron_linear"]
 
 
+#: Neuron type -> constructor of a convolution with the requested geometry.
+#: The proposed layer is built by its drop-in constructor, which instantiates
+#: ``ceil(out_channels / (rank + 1))`` filters and trims to ``out_channels``.
+CONV_NEURON_TYPES = {
+    "linear": Conv2d,
+    "proposed": EfficientQuadraticConv2d.for_output_channels,
+    "general": GeneralQuadraticConv2d,
+    "pure": PureQuadraticConv2d,
+    "quad1": Quad1Conv2d,
+    "quad2": Quad2Conv2d,
+    "quad_residual": QuadraticResidualConv2d,
+    "factorized": FactorizedQuadraticConv2d,
+    "kervolution": KervolutionConv2d,
+}
+
+#: Neuron type -> constructor of a dense layer with the requested geometry.
+DENSE_NEURON_TYPES = {
+    "linear": Linear,
+    "proposed": EfficientQuadraticLinear.for_output_features,
+    "general": GeneralQuadraticLinear,
+    "quad1": Quad1Linear,
+    "quad2": Quad2Linear,
+    "quad_residual": QuadraticResidualLinear,
+    "factorized": FactorizedQuadraticLinear,
+    "kervolution": KervolutionLinear,
+}
+
+#: The neuron types with a decomposition rank; every other type ignores it.
+_RANKED_TYPES = frozenset({"proposed", "factorized"})
+
+
+def _neuron_options(neuron_type: str, rank: int, kwargs: dict) -> dict:
+    """Keyword options for ``neuron_type``'s constructor: ``rank`` when the
+    type has one, plus the caller's neuron options — which plain linear
+    layers have none of, so they ignore them."""
+    options = {} if neuron_type == "linear" else dict(kwargs)
+    if neuron_type in _RANKED_TYPES:
+        options["rank"] = rank
+    return options
+
+
 def make_conv(neuron_type: str, in_channels: int, out_channels: int, kernel_size: int,
               stride: int = 1, padding: int = 0, rank: int = 9, bias: bool = True,
               rng: np.random.Generator | None = None, **kwargs) -> Module:
@@ -47,8 +95,8 @@ def make_conv(neuron_type: str, in_channels: int, out_channels: int, kernel_size
         raise KeyError(f"unknown conv neuron type '{neuron_type}'; "
                        f"known types: {sorted(CONV_NEURON_TYPES)}")
     return CONV_NEURON_TYPES[neuron_type](
-        in_channels=in_channels, out_channels=out_channels, kernel_size=kernel_size,
-        stride=stride, padding=padding, rank=rank, bias=bias, rng=rng, **kwargs)
+        in_channels, out_channels, kernel_size, stride=stride, padding=padding,
+        bias=bias, rng=rng, **_neuron_options(neuron_type, rank, kwargs))
 
 
 def make_dense(neuron_type: str, in_features: int, out_features: int, rank: int = 9,
@@ -58,94 +106,8 @@ def make_dense(neuron_type: str, in_features: int, out_features: int, rank: int 
         raise KeyError(f"unknown dense neuron type '{neuron_type}'; "
                        f"known types: {sorted(DENSE_NEURON_TYPES)}")
     return DENSE_NEURON_TYPES[neuron_type](
-        in_features=in_features, out_features=out_features, rank=rank, bias=bias, rng=rng,
-        **kwargs)
-
-
-# -- conv builders ------------------------------------------------------------
-
-def _conv_linear(in_channels, out_channels, kernel_size, stride, padding, rank, bias, rng,
-                 **kwargs):
-    return Conv2d(in_channels, out_channels, kernel_size, stride=stride, padding=padding,
-                  bias=bias, rng=rng)
-
-
-def _conv_proposed(in_channels, out_channels, kernel_size, stride, padding, rank, bias, rng,
-                   **kwargs):
-    return EfficientQuadraticConv2d.for_output_channels(
-        in_channels, out_channels, kernel_size, rank=rank, stride=stride, padding=padding,
-        bias=bias, rng=rng, **kwargs)
-
-
-def _conv_scalar_output(layer_cls):
-    def build(in_channels, out_channels, kernel_size, stride, padding, rank, bias, rng,
-              **kwargs):
-        return layer_cls(in_channels, out_channels, kernel_size, stride=stride,
-                         padding=padding, bias=bias, rng=rng, **kwargs)
-    return build
-
-
-def _conv_factorized(in_channels, out_channels, kernel_size, stride, padding, rank, bias, rng,
-                     **kwargs):
-    return FactorizedQuadraticConv2d(in_channels, out_channels, kernel_size, stride=stride,
-                                     padding=padding, rank=rank, bias=bias, rng=rng, **kwargs)
-
-
-def _conv_kervolution(in_channels, out_channels, kernel_size, stride, padding, rank, bias, rng,
-                      **kwargs):
-    return KervolutionConv2d(in_channels, out_channels, kernel_size, stride=stride,
-                             padding=padding, bias=bias, rng=rng, **kwargs)
-
-
-CONV_NEURON_TYPES = {
-    "linear": _conv_linear,
-    "proposed": _conv_proposed,
-    "general": _conv_scalar_output(GeneralQuadraticConv2d),
-    "pure": _conv_scalar_output(PureQuadraticConv2d),
-    "quad1": _conv_scalar_output(Quad1Conv2d),
-    "quad2": _conv_scalar_output(Quad2Conv2d),
-    "quad_residual": _conv_scalar_output(QuadraticResidualConv2d),
-    "factorized": _conv_factorized,
-    "kervolution": _conv_kervolution,
-}
-
-
-# -- dense builders ------------------------------------------------------------
-
-def _dense_linear(in_features, out_features, rank, bias, rng, **kwargs):
-    return Linear(in_features, out_features, bias=bias, rng=rng)
-
-
-def _dense_proposed(in_features, out_features, rank, bias, rng, **kwargs):
-    return EfficientQuadraticLinear.for_output_features(
-        in_features, out_features, rank=rank, bias=bias, rng=rng, **kwargs)
-
-
-def _dense_simple(layer_cls):
-    def build(in_features, out_features, rank, bias, rng, **kwargs):
-        return layer_cls(in_features, out_features, bias=bias, rng=rng, **kwargs)
-    return build
-
-
-def _dense_factorized(in_features, out_features, rank, bias, rng, **kwargs):
-    return FactorizedQuadraticLinear(in_features, out_features, rank=rank, bias=bias, rng=rng,
-                                     **kwargs)
-
-
-def _dense_kervolution(in_features, out_features, rank, bias, rng, **kwargs):
-    return KervolutionLinear(in_features, out_features, bias=bias, rng=rng, **kwargs)
-
-
-DENSE_NEURON_TYPES = {
-    "linear": _dense_linear,
-    "proposed": _dense_proposed,
-    "general": _dense_simple(GeneralQuadraticLinear),
-    "quad1": _dense_simple(Quad1Linear),
-    "quad2": _dense_simple(Quad2Linear),
-    "quad_residual": _dense_simple(QuadraticResidualLinear),
-    "factorized": _dense_factorized,
-    "kervolution": _dense_kervolution,
-}
+        in_features, out_features, bias=bias, rng=rng,
+        **_neuron_options(neuron_type, rank, kwargs))
 
 
 # -- servable single-layer builders -------------------------------------------

@@ -41,6 +41,10 @@ class KervolutionConv2d(Module):
         variant of the original paper).
     """
 
+    # Costed as linear neurons: the polynomial kernel adds no parameters, and
+    # its offset and power are elementwise, not multiply-accumulates.
+    neuron_formula = "linear"
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, degree: int = 2, offset: float = 0.5,
                  learnable_offset: bool = False, bias: bool = True,
@@ -79,6 +83,8 @@ class KervolutionConv2d(Module):
 
 class KervolutionLinear(Module):
     """Dense polynomial kervolution: ``y = (wᵀx + b + c_p)^{d_p}``."""
+
+    neuron_formula = "linear"
 
     def __init__(self, in_features: int, out_features: int, degree: int = 2,
                  offset: float = 0.5, bias: bool = True,

@@ -10,7 +10,7 @@ with their unfused compositions.
 import numpy as np
 import pytest
 
-from repro.metrics.profiler import record_op_times, _find_rule
+from repro.metrics.profiler import profile_model, record_op_times
 from repro.nn.layers import Conv2d, Linear
 from repro.quadratic import EfficientQuadraticConv2d, EfficientQuadraticLinear
 from repro.tensor import (
@@ -275,6 +275,10 @@ class TestItemError:
 
 
 class TestProfilerRuleMatching:
+    @staticmethod
+    def _macs(layer, shape):
+        return profile_model(layer, Tensor(np.zeros(shape, dtype=np.float32))).total_macs
+
     def test_subclasses_of_profiled_layers_match(self):
         class MyConv(Conv2d):
             pass
@@ -282,26 +286,28 @@ class TestProfilerRuleMatching:
         class MyLinear(Linear):
             pass
 
-        assert _find_rule(MyConv(3, 8, 3)) is _find_rule(Conv2d(3, 8, 3))
-        assert _find_rule(MyLinear(4, 2)) is _find_rule(Linear(4, 2))
+        rng = np.random.default_rng(0)
+        assert self._macs(MyConv(3, 8, 3, rng=rng), (1, 3, 6, 6)) == \
+            self._macs(Conv2d(3, 8, 3, rng=rng), (1, 3, 6, 6)) == 4 * 4 * 8 * 27
+        assert self._macs(MyLinear(4, 2, rng=rng), (1, 4)) == \
+            self._macs(Linear(4, 2, rng=rng), (1, 4)) == 8
 
     def test_most_derived_rule_wins(self):
         from repro.quadratic.baselines import GeneralQuadraticConv2d, PureQuadraticConv2d
         from repro.quadratic.complexity import neuron_complexity
-        # PureQuadraticConv2d subclasses GeneralQuadraticConv2d; it must match
-        # its own "pure" rule (no linear-term MACs) rather than the general
-        # base-class rule or — as before the fix — being silently skipped.
+        # PureQuadraticConv2d subclasses GeneralQuadraticConv2d; it must be
+        # charged its own "pure" cost (no linear-term MACs), not the general
+        # one it would inherit.
         pure = PureQuadraticConv2d(2, 3, 3, rng=np.random.default_rng(0))
         general = GeneralQuadraticConv2d(2, 3, 3, rng=np.random.default_rng(0))
-        pure_rule, general_rule = _find_rule(pure), _find_rule(general)
-        assert pure_rule is not None and pure_rule is not general_rule
-        output = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         fan_in = 2 * 3 * 3
         per_position = 4 * 4 * 3
-        assert pure_rule(pure, output) == \
+        assert self._macs(pure, (1, 2, 6, 6)) == \
             per_position * neuron_complexity("pure", fan_in, 1).macs
-        assert general_rule(general, output) == \
+        assert self._macs(general, (1, 2, 6, 6)) == \
             per_position * neuron_complexity("general", fan_in, 1).macs
+        assert neuron_complexity("pure", fan_in).macs != \
+            neuron_complexity("general", fan_in).macs
 
 
 def _dense_pair(vectorized, seed=0):

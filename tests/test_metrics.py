@@ -15,7 +15,14 @@ from repro.metrics import (
     top_k_accuracy,
 )
 from repro.models import CifarResNet
-from repro.quadratic import EfficientQuadraticConv2d, make_conv, neuron_complexity
+from repro.quadratic import (
+    CONV_NEURON_TYPES,
+    DENSE_NEURON_TYPES,
+    EfficientQuadraticConv2d,
+    make_conv,
+    make_dense,
+    neuron_complexity,
+)
 from repro.tensor import Tensor
 
 
@@ -144,8 +151,66 @@ class TestProfiler:
         profile_model(model, Tensor(np.zeros((1, 4), dtype=np.float32)))
         assert model[0]._forward_hooks == []
 
+    def test_callers_hooks_survive_profiling(self):
+        model = nn.Sequential(nn.Linear(4, 4, rng=np.random.default_rng(0)))
+        calls = []
+        model[0].register_forward_hook(lambda *args: calls.append(1))
+        example = Tensor(np.zeros((1, 4), dtype=np.float32))
+        profile_model(model, example)
+        model(example)
+        assert calls == [1, 1]
+
     def test_training_mode_restored(self):
         model = nn.Sequential(nn.Linear(4, 4, rng=np.random.default_rng(0)))
         model.train()
         profile_model(model, Tensor(np.zeros((1, 4), dtype=np.float32)))
         assert model.training
+
+
+# (total_parameters, total_macs) of one layer per neuron type and rank:
+# conv 3 -> 12 channels, kernel 3, stride 2, padding 1 on a 9x9 input (5x5
+# output positions); dense 10 -> 8 features on a (2, 5, 10) sequence input.
+GOLDEN_CONV_PROFILES = {
+    ("factorized", 1): (984, 16500), ("factorized", 3): (2280, 49500),
+    ("general", 1): (9084, 234900), ("general", 3): (9084, 234900),
+    ("kervolution", 1): (336, 8100), ("kervolution", 3): (336, 8100),
+    ("linear", 1): (336, 8100), ("linear", 3): (336, 8100),
+    ("proposed", 1): (336, 8400), ("proposed", 3): (336, 8550),
+    ("pure", 1): (8748, 226800), ("pure", 3): (8748, 226800),
+    ("quad1", 1): (984, 32400), ("quad1", 3): (984, 32400),
+    ("quad2", 1): (984, 24300), ("quad2", 3): (984, 24300),
+    ("quad_residual", 1): (660, 16200), ("quad_residual", 3): (660, 16200),
+}
+GOLDEN_DENSE_PROFILES = {
+    ("factorized", 1): (248, 840), ("factorized", 3): (568, 2520),
+    ("general", 1): (888, 4800), ("general", 3): (888, 4800),
+    ("kervolution", 1): (88, 400), ("kervolution", 3): (88, 400),
+    ("linear", 1): (88, 400), ("linear", 3): (88, 400),
+    ("proposed", 1): (88, 440), ("proposed", 3): (88, 460),
+    ("quad1", 1): (248, 1600), ("quad1", 3): (248, 1600),
+    ("quad2", 1): (248, 1200), ("quad2", 3): (248, 1200),
+    ("quad_residual", 1): (168, 800), ("quad_residual", 3): (168, 800),
+}
+
+
+class TestGoldenProfiles:
+    def test_every_neuron_type_is_pinned(self):
+        assert {t for t, _ in GOLDEN_CONV_PROFILES} == set(CONV_NEURON_TYPES)
+        assert {t for t, _ in GOLDEN_DENSE_PROFILES} == set(DENSE_NEURON_TYPES)
+
+    @pytest.mark.parametrize("neuron_type,rank", sorted(GOLDEN_CONV_PROFILES))
+    def test_conv_profile(self, neuron_type, rank):
+        layer = make_conv(neuron_type, 3, 12, 3, stride=2, padding=1, rank=rank,
+                          rng=np.random.default_rng(0))
+        profile = profile_model(nn.Sequential(layer),
+                                Tensor(np.zeros((1, 3, 9, 9), dtype=np.float32)))
+        assert (profile.total_parameters, profile.total_macs) == \
+            GOLDEN_CONV_PROFILES[neuron_type, rank]
+
+    @pytest.mark.parametrize("neuron_type,rank", sorted(GOLDEN_DENSE_PROFILES))
+    def test_dense_profile(self, neuron_type, rank):
+        layer = make_dense(neuron_type, 10, 8, rank=rank, rng=np.random.default_rng(0))
+        profile = profile_model(nn.Sequential(layer),
+                                Tensor(np.zeros((2, 5, 10), dtype=np.float32)))
+        assert (profile.total_parameters, profile.total_macs) == \
+            GOLDEN_DENSE_PROFILES[neuron_type, rank]
