@@ -172,13 +172,15 @@ def fused_kernel_benchmarks(rounds: int = 30, warmup: int = 3) -> tuple[dict, di
     fused_ops: dict[str, dict] = {}
     speedups: dict[str, float] = {}
     for kind, (layer, x) in workloads.items():
-        for fused in (True, False):
-            forward = layer if fused else layer._forward_unfused
-            fused_ops[FUSED_BENCH_KEYS[kind, fused]] = time_callable(
-                lambda layer=layer, x=x, forward=forward: train_step(layer, x, forward),
-                rounds=rounds, warmup=warmup)
-        ratios = _speedup(fused_ops[FUSED_BENCH_KEYS[kind, False]],
-                          fused_ops[FUSED_BENCH_KEYS[kind, True]])
+        # Timed alternately (:func:`time_alternating`), so load that changes
+        # mid-run lands on both sides of the ratio alike.
+        fused, unfused = time_alternating(
+            [lambda: train_step(layer, x, layer),
+             lambda: train_step(layer, x, layer._forward_unfused)],
+            rounds=rounds, warmup=warmup)
+        fused_ops[FUSED_BENCH_KEYS[kind, True]] = fused
+        fused_ops[FUSED_BENCH_KEYS[kind, False]] = unfused
+        ratios = _speedup(unfused, fused)
         for name, ratio in ratios.items():
             speedups[f"quadratic_{kind}_{name}"] = ratio
     return fused_ops, speedups
@@ -207,11 +209,11 @@ def inference_benchmarks(rounds: int = 5, warmup: int = 2,
         (batch_size, 3, 16, 16)).astype(np.float32)
     session.warm(input_shape=inputs.shape[1:], batch_sizes=(batch_size, 1))
 
-    batched = time_callable(lambda: session.predict(inputs),
-                            rounds=rounds, warmup=warmup)
-    per_sample = time_callable(
-        lambda: [session.predict(inputs[index:index + 1])
-                 for index in range(batch_size)],
+    # Timed alternately, as in :func:`fused_kernel_benchmarks`.
+    batched, per_sample = time_alternating(
+        [lambda: session.predict(inputs),
+         lambda: [session.predict(inputs[index:index + 1])
+                  for index in range(batch_size)]],
         rounds=rounds, warmup=warmup)
     return {
         "model": "simple_cnn/proposed",

@@ -5,7 +5,6 @@ from .layers import (
     Linear,
     Conv2d,
     MaxPool2d,
-    AvgPool2d,
     GlobalAvgPool2d,
     Flatten,
     Dropout,
@@ -25,7 +24,6 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "Dropout",

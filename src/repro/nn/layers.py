@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, conv2d, max_pool2d, avg_pool2d, global_avg_pool2d
+from ..tensor import Tensor, conv2d, max_pool2d, global_avg_pool2d
 from ..tensor import functional as F
 from ..tensor.fused import linear as fused_linear
 from . import init
@@ -18,7 +18,6 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "Dropout",
@@ -84,18 +83,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    """Average pooling over square windows."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class GlobalAvgPool2d(Module):

@@ -51,11 +51,6 @@ from .worker import DEPTH_ENV, effective_jobs, parallel_depth
 
 __all__ = ["WorkerFleet", "WorkerHandle", "serve_worker"]
 
-#: Held while a pipe is created and its process started: under the ``fork``
-#: method a pipe end created meanwhile on another thread would leak into the
-#: forked child and keep its sibling's EOF from ever arriving.
-_START_LOCK = threading.Lock()
-
 
 class WorkerHandle:
     """Parent-side handle for one worker process: pipe, liveness, counters."""
@@ -193,16 +188,15 @@ class WorkerFleet:
     def _spawn(self, handle: WorkerHandle) -> None:
         """Start (or restart) one worker process and wait for its ready ack."""
         target, config = self._worker_spec()
-        with _START_LOCK:
-            parent_conn, child_conn = self._context.Pipe()
-            process = self._context.Process(
-                target=target,
-                args=(handle.rank, child_conn,
-                      {**config, "depth": parallel_depth() + 1}),
-                name=f"repro-{self.fleet_role}-{handle.rank}",
-                daemon=True)
-            process.start()
-            child_conn.close()  # the child holds its own copy
+        parent_conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=target,
+            args=(handle.rank, child_conn,
+                  {**config, "depth": parallel_depth() + 1}),
+            name=f"repro-{self.fleet_role}-{handle.rank}",
+            daemon=True)
+        process.start()
+        child_conn.close()  # the child holds its own copy
         try:
             reply = parent_conn.recv()
         except (EOFError, OSError):

@@ -42,7 +42,6 @@ from .conv_utils import (
     conv2d,
     unfold,
     max_pool2d,
-    avg_pool2d,
     global_avg_pool2d,
     im2col,
     col2im,
@@ -86,7 +85,6 @@ __all__ = [
     "conv2d",
     "unfold",
     "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
     "im2col",
     "col2im",

@@ -9,7 +9,12 @@ Tensor-level wrappers that dispatch through the graph executor.
 
 The ``conv2d`` op fuses im2col with the filter matmul: every call extracts
 its own patch matrix, in training and inference alike, so concurrent
-forwards share no buffers.
+forwards share no buffers.  ``im2col`` stages the padded input once in NHWC
+layout and fills the patches with K² slice copies; ``col2im`` adds the
+patches back into an NHWC buffer one kernel offset at a time, in row-major
+order, and copies it to NCHW once; ``max_pool2d`` scans a contiguous stack
+of window slots, and the first maximum (or first NaN) of each window wins.
+``tests/test_fused_identity.py`` pins the bytes of all three.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ __all__ = [
     "unfold",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
 ]
 
@@ -62,11 +66,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
     """Max pooling with square windows (no padding)."""
     return apply_op("max_pool2d", x, kernel_size=kernel_size, stride=stride)
-
-
-def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
-    """Average pooling with square windows (no padding)."""
-    return apply_op("avg_pool2d", x, kernel_size=kernel_size, stride=stride)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

@@ -50,7 +50,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 __all__ = [
@@ -739,10 +738,14 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
+def _stage_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` zero-padded and copied once into ``(N, H+2p, W+2p, C)`` layout."""
     if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    n, channels, height, width = x.shape
+    staged = np.zeros((n, height + 2 * padding, width + 2 * padding, channels), dtype=x.dtype)
+    staged[:, padding:padding + height, padding:padding + width] = x.transpose(0, 2, 3, 1)
+    return staged
 
 
 def im2col(x: np.ndarray, kernel_size: int, stride: int, padding: int) -> np.ndarray:
@@ -750,35 +753,42 @@ def im2col(x: np.ndarray, kernel_size: int, stride: int, padding: int) -> np.nda
 
     Returns a freshly allocated array of shape
     ``(N, out_h, out_w, C * kernel_size**2)`` where each row is a flattened
-    receptive field.
+    receptive field in ``(C, KH, KW)`` order.  The padded input is staged
+    once in NHWC layout, so each of the K² kernel offsets is one slice copy
+    whose source rows are contiguous runs of C values.
     """
-    padded = _pad_input(x, padding)
-    windows = sliding_window_view(padded, (kernel_size, kernel_size), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # (N, C, out_h, out_w, KH, KW) -> (N, out_h, out_w, C, KH, KW)
-    windows = windows.transpose(0, 2, 3, 1, 4, 5)
-    n, out_h, out_w = windows.shape[:3]
-    flat_shape = (n, out_h, out_w, windows.shape[3] * kernel_size * kernel_size)
-    return np.ascontiguousarray(windows.reshape(flat_shape))
+    n, channels, height, width = x.shape
+    out_h = conv_output_size(height, kernel_size, stride, padding)
+    out_w = conv_output_size(width, kernel_size, stride, padding)
+    staged = _stage_nhwc(x, padding)
+    cols = np.empty((n, out_h, out_w, channels, kernel_size, kernel_size), dtype=x.dtype)
+    for i in range(kernel_size):
+        for j in range(kernel_size):
+            cols[..., i, j] = staged[:, i:i + stride * out_h:stride,
+                                     j:j + stride * out_w:stride]
+    return cols.reshape(n, out_h, out_w, -1)
 
 
 def col2im(cols: np.ndarray, input_shape: tuple, kernel_size: int, stride: int,
            padding: int) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add patch values back to image layout."""
+    """Inverse of :func:`im2col`: scatter-add patch values back to image layout.
+
+    Accumulates into a zeroed NHWC buffer, kernel offset ``(i, j)`` by
+    offset in row-major order, then copies it back to NCHW once.  Every
+    pixel receives its additions in that order, starting from ``0.0``.
+    """
     n, channels, height, width = input_shape
     out_h = conv_output_size(height, kernel_size, stride, padding)
     out_w = conv_output_size(width, kernel_size, stride, padding)
     cols = cols.reshape(n, out_h, out_w, channels, kernel_size, kernel_size)
-    padded = np.zeros((n, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype)
+    staged = np.zeros((n, height + 2 * padding, width + 2 * padding, channels),
+                      dtype=cols.dtype)
     for i in range(kernel_size):
-        row_end = i + stride * out_h
         for j in range(kernel_size):
-            col_end = j + stride * out_w
-            padded[:, :, i:row_end:stride, j:col_end:stride] += \
-                cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    if padding == 0:
-        return padded
-    return padded[:, :, padding:padding + height, padding:padding + width]
+            staged[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
+                cols[..., i, j]
+    staged = staged[:, padding:padding + height, padding:padding + width]
+    return np.ascontiguousarray(staged.transpose(0, 3, 1, 2))
 
 
 def _unfold_fw(ctx, x, kernel_size, stride=1, padding=0):
@@ -853,66 +863,78 @@ register_op("conv2d", _conv2d_fw, _conv2d_vjp,
                                 {"stride": 2, "padding": 1}))
 
 
+def _pool_slots(x: np.ndarray, kernel_size: int, stride: int, out_h: int,
+                out_w: int) -> np.ndarray:
+    """Window slot ``i·k + j`` of every pooling window, as one ``(k², N, C, OH, OW)`` stack."""
+    n, channels = x.shape[:2]
+    stack = np.empty((kernel_size * kernel_size, n, channels, out_h, out_w), dtype=x.dtype)
+    for slot in range(kernel_size * kernel_size):
+        i, j = divmod(slot, kernel_size)
+        stack[slot] = x[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
+    return stack
+
+
 def _max_pool2d_fw(ctx, x, kernel_size, stride=None):
+    """Max over each window, scanning its k² slots in order.
+
+    A later slot wins only when it is strictly greater than the running
+    best, or NaN while the best is not: the first maximum wins, and a
+    window holding a NaN returns its first NaN.  For the VJP it keeps each
+    window's winning slot in the smallest unsigned dtype that holds
+    ``k² - 1``.
+    """
     stride = stride or kernel_size
-    n, channels, height, width = x.shape
-    out_h = conv_output_size(height, kernel_size, stride, 0)
-    out_w = conv_output_size(width, kernel_size, stride, 0)
-    windows = sliding_window_view(x, (kernel_size, kernel_size), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    flat = windows.reshape(n, channels, out_h, out_w, -1)
-    argmax = flat.argmax(axis=-1)
+    out_h = conv_output_size(x.shape[2], kernel_size, stride, 0)
+    out_w = conv_output_size(x.shape[3], kernel_size, stride, 0)
+    slots = _pool_slots(x, kernel_size, stride, out_h, out_w)
+    best = slots[0]
+    winner = None
     if ctx.requires_grad:
-        ctx.saved = (argmax, stride, out_h, out_w)
-    return np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+        winner = np.zeros(best.shape, dtype=np.min_scalar_type(len(slots) - 1))
+    for slot in range(1, len(slots)):
+        value = slots[slot]
+        wins = ~(value <= best) & (best == best)
+        best = np.where(wins, value, best)
+        if winner is not None:
+            # Slots are scanned in increasing order: the last win is the largest.
+            np.maximum(winner, wins * winner.dtype.type(slot), out=winner)
+    if winner is not None:
+        ctx.saved = (winner, stride)
+    return best
 
 
 def _max_pool2d_vjp(ctx, grad, needs):
+    """Route each output gradient to its window's winning slot.
+
+    An input pixel's gradient is ``0.0 + g₁ + g₂ + …`` over the outputs
+    whose window it wins, in row-major output order; ``grad + 0.0`` is the
+    first term (−0.0 becomes +0.0).  Disjoint windows write each slot's
+    share straight into its view.  Overlapping windows add the shares into
+    zeros in reverse slot order, which reaches each pixel's outputs in
+    row-major order.
+    """
     (x,) = ctx.inputs
     kernel_size = ctx.kwargs["kernel_size"]
-    argmax, stride, out_h, out_w = ctx.saved
-    n, channels = x.shape[:2]
+    winner, stride = ctx.saved
+    out_h, out_w = grad.shape[2], grad.shape[3]
     grad_input = np.zeros_like(x)
-    offsets_i, offsets_j = np.unravel_index(argmax, (kernel_size, kernel_size))
-    base_i = (np.arange(out_h) * stride)[None, None, :, None]
-    base_j = (np.arange(out_w) * stride)[None, None, None, :]
-    rows = base_i + offsets_i
-    cols_idx = base_j + offsets_j
-    n_idx = np.arange(n)[:, None, None, None]
-    c_idx = np.arange(channels)[None, :, None, None]
-    np.add.at(grad_input, (n_idx, c_idx, rows, cols_idx), grad)
+    routed = grad + 0.0
+    slots = range(kernel_size * kernel_size)
+    overlapping = stride < kernel_size
+    for slot in (reversed(slots) if overlapping else slots):
+        i, j = divmod(slot, kernel_size)
+        view = grad_input[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
+        share = np.where(winner == slot, routed, 0.0)
+        if overlapping:
+            view += share
+        else:
+            view[...] = share
     return (grad_input,)
 
 
 register_op("max_pool2d", _max_pool2d_fw, _max_pool2d_vjp,
             sample=lambda rng: ([_distinct(rng, 2, 2, 6, 6)],
                                 {"kernel_size": 2, "stride": 2}))
-
-
-def _avg_pool2d_fw(ctx, x, kernel_size, stride=None):
-    stride = stride or kernel_size
-    windows = sliding_window_view(x, (kernel_size, kernel_size), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    return windows.mean(axis=(-2, -1))
-
-
-def _avg_pool2d_vjp(ctx, grad, needs):
-    (x,) = ctx.inputs
-    kernel_size = ctx.kwargs["kernel_size"]
-    stride = ctx.kwargs.get("stride") or kernel_size
-    out_h, out_w = grad.shape[2], grad.shape[3]
-    scale = 1.0 / (kernel_size * kernel_size)
-    grad_input = np.zeros_like(x)
-    scaled = grad * scale
-    for i in range(kernel_size):
-        for j in range(kernel_size):
-            grad_input[:, :, i:i + stride * out_h:stride,
-                       j:j + stride * out_w:stride] += scaled
-    return (grad_input,)
-
-
-register_op("avg_pool2d", _avg_pool2d_fw, _avg_pool2d_vjp,
-            sample=lambda rng: ([_sn(rng, 2, 2, 6, 6)], {"kernel_size": 2, "stride": 2}))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from repro.tensor import (
     Tensor,
-    avg_pool2d,
     check_gradients,
     col2im,
     conv2d,
@@ -131,11 +130,6 @@ class TestPooling:
         out = max_pool2d(Tensor(x), 2)
         np.testing.assert_allclose(out.data[0, 0], [[5, 7], [13, 15]])
 
-    def test_avg_pool_values(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
     def test_max_pool_gradients_flow_to_argmax_only(self):
         x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4), requires_grad=True)
         max_pool2d(x, 2).sum().backward()
@@ -145,9 +139,17 @@ class TestPooling:
 
     def test_pool_gradcheck(self):
         x = Tensor(self.rng.standard_normal((1, 2, 6, 6)), requires_grad=True)
-        check_gradients(lambda: (max_pool2d(x * 1.0, 2).sum()
-                                 + avg_pool2d(x * 1.0, 3, stride=3).sum()), [x],
-                        tolerance=1e-4)
+        check_gradients(lambda: max_pool2d(x * 1.0, 2).sum(), [x], tolerance=1e-4)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_overlapping_windows_gradcheck(self, stride):
+        """An input pixel in several windows sums the gradients of each it wins."""
+        values = self.rng.permutation(2 * 7 * 7).astype(np.float64) * 0.1
+        x = Tensor(values.reshape(1, 2, 7, 7), requires_grad=True)
+        out = conv_output_size(7, 3, stride, 0)
+        weights = Tensor(self.rng.standard_normal((1, 2, out, out)))
+        check_gradients(lambda: (max_pool2d(x * 1.0, 3, stride=stride) * weights).sum(),
+                        [x], tolerance=1e-4)
 
     def test_global_avg_pool(self):
         x = self.rng.standard_normal((2, 3, 4, 4))

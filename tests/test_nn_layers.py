@@ -56,11 +56,6 @@ class TestPoolingLayers:
         out = layer(Tensor(RNG.standard_normal((1, 2, 6, 6)).astype(np.float32)))
         assert out.shape == (1, 2, 3, 3)
 
-    def test_avg_pool_module(self):
-        layer = nn.AvgPool2d(3, stride=3)
-        out = layer(Tensor(np.ones((1, 2, 6, 6), dtype=np.float32)))
-        np.testing.assert_allclose(out.data, 1.0)
-
     def test_global_avg_pool(self):
         out = nn.GlobalAvgPool2d()(Tensor(np.ones((2, 5, 4, 4), dtype=np.float32)))
         assert out.shape == (2, 5)
