@@ -256,19 +256,21 @@ def serving_benchmarks(rounds: int = 3, warmup: int = 1, clients: int = 8,
     session_batched.warm(input_shape=sample.shape[1:],
                          batch_sizes=(64, clients, 1))
 
+    # The batched engine runs at its default coalescing window, the one
+    # ``repro serve`` ships.
     direct_engine = DirectEngine(session_direct)
     batched_engine = BatchedEngine(session_batched, max_batch=64,
-                                   max_wait_ms=2.0,
                                    queue_size=total_requests + clients)
     direct_latency = LatencyHistogram()
     batched_latency = LatencyHistogram()
     try:
-        direct = time_callable(
-            lambda: _storm(direct_engine, sample, clients, requests_per_client,
-                           direct_latency), rounds=rounds, warmup=warmup)
-        batched = time_callable(
-            lambda: _storm(batched_engine, sample, clients, requests_per_client,
-                           batched_latency), rounds=rounds, warmup=warmup)
+        # Timed alternately, as in :func:`fused_kernel_benchmarks`.
+        direct, batched = time_alternating(
+            [lambda: _storm(direct_engine, sample, clients,
+                            requests_per_client, direct_latency),
+             lambda: _storm(batched_engine, sample, clients,
+                            requests_per_client, batched_latency)],
+            rounds=rounds, warmup=warmup)
         batched_stats = batched_engine.stats()
     finally:
         batched_engine.close()
@@ -332,20 +334,10 @@ def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
     total_requests = clients * requests_per_client
     total_rows = total_requests * rows_per_request
 
-    def measure(engine) -> dict:
-        try:
-            timing = time_callable(
-                lambda: _storm(engine, request, clients, requests_per_client),
-                rounds=rounds, warmup=warmup)
-        finally:
-            engine.close()
-        timing["rows_per_second"] = total_rows / timing["mean_seconds"]
-        timing["rows_per_second_best"] = total_rows / timing["min_seconds"]
-        return timing
-
     # compile=False everywhere, matching serving_benchmarks: this micro
-    # isolates scheduling + parallel execution, not plan compilation.
-    engine_kwargs = {"max_batch": rows_per_request * 2, "max_wait_ms": 2.0,
+    # isolates scheduling + parallel execution, not plan compilation.  Every
+    # engine runs at its default coalescing window.
+    engine_kwargs = {"max_batch": rows_per_request * 2,
                      "queue_size": total_requests + clients}
     with tempfile.TemporaryDirectory(prefix="repro-bench-pool-") as tmp:
         bundle_path = save_bundle(Path(tmp) / "bench_pool.npz", model,
@@ -355,13 +347,27 @@ def pool_benchmarks(rounds: int = 2, warmup: int = 1, clients: int = 4,
             return InferenceSession(bundle_path, max_batch=rows_per_request * 2,
                                     compile=False)
 
-        batched = measure(BatchedEngine(session(), **engine_kwargs))
-        pools: dict[str, dict] = {}
-        for workers in worker_counts:
-            engine = ProcessPoolEngine(session(), workers=workers,
-                                       **engine_kwargs)
-            engine.warm((3, 16, 16))
-            pools[str(workers)] = measure(engine)
+        engines = [BatchedEngine(session(), **engine_kwargs)]
+        try:
+            for workers in worker_counts:
+                engines.append(ProcessPoolEngine(session(), workers=workers,
+                                                 **engine_kwargs))
+                engines[-1].warm((3, 16, 16))
+            # Timed alternately, one storm per engine each round, so load
+            # that changes mid-run lands on every point of the curve alike.
+            timings = time_alternating(
+                [lambda engine=engine: _storm(engine, request, clients,
+                                              requests_per_client)
+                 for engine in engines], rounds=rounds, warmup=warmup)
+        finally:
+            for engine in engines:
+                engine.close()
+    for timing in timings:
+        timing["rows_per_second"] = total_rows / timing["mean_seconds"]
+        timing["rows_per_second_best"] = total_rows / timing["min_seconds"]
+    batched, *pool_timings = timings
+    pools = {str(workers): timing
+             for workers, timing in zip(worker_counts, pool_timings)}
 
     return {
         "model": "simple_cnn/proposed",

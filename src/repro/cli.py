@@ -59,6 +59,7 @@ from .experiments import get_scale
 from .experiments.registry import all_specs, experiment_names, get_spec
 from .experiments.reporting import SweepReporter, format_table
 from .experiments.runner import default_cache_dir, run_many
+from .serve.batching import DEFAULT_MAX_WAIT_MS
 
 __all__ = ["main", "build_parser"]
 
@@ -299,9 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
                                    "mounted model (repeatable)")
     serve_parser.add_argument("--max-batch", type=int, default=64,
                               help="rows per fused forward (default: 64)")
-    serve_parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                              help="batched engine: how long an open batch "
-                                   "waits for more requests (default: 2.0)")
+    serve_parser.add_argument("--max-wait-ms", type=float,
+                              default=DEFAULT_MAX_WAIT_MS,
+                              help="batched and pool engines: how long an "
+                                   "open batch waits for more requests, in "
+                                   "milliseconds (default: "
+                                   f"{DEFAULT_MAX_WAIT_MS})")
     serve_parser.add_argument("--queue-size", type=int, default=256,
                               help="batched engine: queued requests beyond "
                                    "which clients get 429 (default: 256)")

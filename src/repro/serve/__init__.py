@@ -201,11 +201,12 @@ def load(path, max_batch: int = 64, warm: bool = True, engine="direct",
     Bundles whose section carries ``generation`` metadata (sequence models
     exported with :func:`repro.serve.generate.generation_bundle_info`) come
     back as a :class:`~repro.serve.generate.GenerationPredictor` instead,
-    built from the three options it uses: ``max_batch`` sizes its
-    decode-slot pool and ``max_wait_ms``/``queue_size`` configure its
-    queue.  The prediction-only options (``warm``/``engine``/``workers``/
-    ``compile``) do not apply to it, so ``repro serve`` can pass one set of
-    options to every model it mounts.
+    built from the two options it uses: ``max_batch`` sizes its
+    decode-slot pool and ``queue_size`` bounds its queue.  The
+    prediction-only options (``warm``/``engine``/``max_wait_ms``/
+    ``workers``/``compile``) do not apply to it — its scheduler has no
+    coalescing window — so ``repro serve`` can pass one set of options to
+    every model it mounts.
     """
     from ..io.bundle import Bundle, load_bundle
 
@@ -214,7 +215,6 @@ def load(path, max_batch: int = 64, warm: bool = True, engine="direct",
         from .generate import GenerationPredictor
 
         return GenerationPredictor(bundle, max_batch=max_batch,
-                                   max_wait_ms=max_wait_ms,
                                    queue_size=queue_size)
     return Predictor(bundle, max_batch=max_batch, warm=warm, engine=engine,
                      max_wait_ms=max_wait_ms, queue_size=queue_size,

@@ -14,7 +14,10 @@ This engine recovers the batch efficiency *across* requests:
   request, then keeps pulling until it has ``max_batch`` rows or
   ``max_wait_ms`` has elapsed since the batch opened — the classic dynamic
   batching window (arrivals during the window ride along for free; an idle
-  queue never waits).
+  queue never waits).  The window defaults to :data:`DEFAULT_MAX_WAIT_MS`,
+  0.5 ms: long enough for the second of two near-simultaneous requests to
+  join the batch, short enough that a batch whose rows are all in does not
+  sit idle.  At 0 ms that second request misses the batch and runs alone.
 * The coalesced rows run as **one fused no-grad forward** through the shared
   :class:`~repro.serve.InferenceSession`, and the output is demuxed back
   onto the per-request futures by row offset.
@@ -54,7 +57,11 @@ import numpy as np
 
 from .engine import EngineClosed, QueueFull, ServingEngine
 
-__all__ = ["BatchedEngine", "QueuedEngine"]
+__all__ = ["BatchedEngine", "DEFAULT_MAX_WAIT_MS", "QueuedEngine"]
+
+#: The coalescing window every queued prediction engine, ``serve()`` and
+#: ``repro serve --max-wait-ms`` default to, in milliseconds.
+DEFAULT_MAX_WAIT_MS = 0.5
 
 #: Queue sentinel telling the scheduler thread to exit.
 _SHUTDOWN = object()
@@ -133,8 +140,8 @@ class QueuedEngine(ServingEngine):
     name = "queued"
 
     def __init__(self, session, max_batch: int | None = None,
-                 max_wait_ms: float = 2.0, queue_size: int = 256,
-                 autostart: bool = True):
+                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
+                 queue_size: int = 256, autostart: bool = True):
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if queue_size < 1:
@@ -381,9 +388,10 @@ class BatchedEngine(QueuedEngine):
         Row budget per fused forward (default: the session's ``max_batch``).
         A single oversized request still runs — the session chunks it.
     max_wait_ms:
-        How long an *open* batch waits for more rows before running.  This
-        is latency spent only when the queue goes empty mid-batch; a deep
-        queue fills batches without waiting.
+        How long an *open* batch waits for more rows before running
+        (default :data:`DEFAULT_MAX_WAIT_MS`).  This is latency spent only
+        when the queue goes empty mid-batch; a deep queue fills batches
+        without waiting.
     queue_size:
         Bound on queued requests; beyond it ``submit`` raises
         :class:`QueueFull` so overload surfaces as backpressure.

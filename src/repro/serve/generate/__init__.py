@@ -66,13 +66,12 @@ class GenerationPredictor:
 
     Built by :func:`repro.serve.load` when a bundle's section carries
     ``generation`` metadata (see :func:`generation_bundle_info`).
-    ``max_batch`` is the decode-slot count and ``max_wait_ms``/
-    ``queue_size`` configure the engine queue.  The decode state is
-    preallocated by the engine, so there is nothing to warm.
+    ``max_batch`` is the decode-slot count and ``queue_size`` bounds the
+    engine queue.  The decode state is preallocated by the engine, so there
+    is nothing to warm.
     """
 
     def __init__(self, bundle_or_path, max_batch: int = 8,
-                 max_wait_ms: float | None = None,
                  queue_size: int | None = None, max_len: int | None = None,
                  seed: int = 0):
         bundle = bundle_or_path if isinstance(bundle_or_path, Bundle) \
@@ -91,9 +90,7 @@ class GenerationPredictor:
             self.max_len = min(self.max_len, int(max_len))
         self.source_vocab = _rebuild_vocabulary(section.get("source_vocab"))
         self.target_vocab = _rebuild_vocabulary(section.get("target_vocab"))
-        queue_options = {name: value for name, value in
-                         (("max_wait_ms", max_wait_ms), ("queue_size", queue_size))
-                         if value is not None}
+        queue_options = {} if queue_size is None else {"queue_size": queue_size}
         self.engine = GenerationEngine(
             self.model, bos_id=self.bos_id, eos_id=self.eos_id,
             max_batch=max_batch, max_len=self.max_len, seed=seed,

@@ -23,7 +23,9 @@ Queueing and lifecycle are inherited: :class:`GenerationEngine` is a
 :class:`~repro.serve.engine.QueueFull` backpressure, the same scheduler
 thread, and the same ``close()``: sequences already decoding finish and get
 real results, requests still queued fail with
-:class:`~repro.serve.engine.EngineClosed`.  Only the scheduler loop differs.
+:class:`~repro.serve.engine.EngineClosed`.  Only the scheduler loop differs,
+and it has no coalescing window: an idle scheduler blocks on the queue until
+a request (or the shutdown sentinel ``close()`` posts) arrives.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ class GenerationEngine(QueuedEngine):
         sequences; further arrivals wait in the queue.
     max_len:
         Per-sequence position budget (clamped to the model's ``max_len``).
-    max_wait_ms:
-        How long an idle scheduler blocks on the queue before re-checking
-        for shutdown.
     queue_size:
         Bound on queued requests; beyond it ``submit`` raises
         :class:`QueueFull` (HTTP 429).
@@ -90,12 +89,12 @@ class GenerationEngine(QueuedEngine):
     name = "generation"
 
     def __init__(self, model, bos_id: int, eos_id: int, max_batch: int = 8,
-                 max_len: int | None = None, max_wait_ms: float = 2.0,
-                 queue_size: int = 256, seed: int = 0, autostart: bool = True):
+                 max_len: int | None = None, queue_size: int = 256,
+                 seed: int = 0, autostart: bool = True):
         # No session: forwards run through the model's incremental decoder.
         # The thread starts only once the decode state below exists.
-        super().__init__(None, max_batch=max_batch, max_wait_ms=max_wait_ms,
-                         queue_size=queue_size, autostart=False)
+        super().__init__(None, max_batch=max_batch, queue_size=queue_size,
+                         autostart=False)
         self.model = model
         self.bos_id = int(bos_id)
         self.eos_id = int(eos_id)
@@ -163,8 +162,11 @@ class GenerationEngine(QueuedEngine):
             raise
 
     def _admit(self) -> None:
-        """Move queued requests into free slots; block briefly when idle.
+        """Move queued requests into free slots; block until work arrives
+        when idle.
 
+        An idle scheduler waits on the queue with no timeout: an arrival
+        wakes it, and so does the shutdown sentinel ``close()`` posts.
         Nothing is admitted once the engine is closed: what is still queued
         stays there for the scheduler's exit path to fail with
         :class:`~repro.serve.engine.EngineClosed`.
@@ -172,8 +174,7 @@ class GenerationEngine(QueuedEngine):
         block = not self._active
         while self._free and not self._closed:
             try:
-                item = self._queue.get(timeout=self.max_wait_ms / 1000.0) \
-                    if block else self._queue.get_nowait()
+                item = self._queue.get() if block else self._queue.get_nowait()
             except queue.Empty:
                 return
             block = False
@@ -258,9 +259,11 @@ class GenerationEngine(QueuedEngine):
 
         ``samples`` counts generated tokens (the unit of work a step
         produces) and ``batches`` counts decode steps; ``mean_batch_rows``
-        is the average number of sequences sharing a decode step.
+        is the average number of sequences sharing a decode step.  There is
+        no ``max_wait_ms``: decode steps never wait on a coalescing window.
         """
         stats = super().stats()
+        del stats["max_wait_ms"]
         with self._stats_lock:
             steps, step_rows = self.batches, self._step_rows
             completed = self._completed

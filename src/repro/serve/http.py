@@ -72,6 +72,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
+from .batching import DEFAULT_MAX_WAIT_MS
 from .engine import EngineClosed, QueueFull, check_engine_name
 from .router import ModelRouter
 
@@ -421,7 +422,7 @@ def _install_signal_handlers(server: PredictionServer):
 
 def serve(models: dict, host: str = "127.0.0.1", port: int = 8000,
           max_batch: int = 64, quiet: bool = False, engine: str = "batched",
-          max_wait_ms: float = 2.0, queue_size: int = 256,
+          max_wait_ms: float = DEFAULT_MAX_WAIT_MS, queue_size: int = 256,
           request_timeout: float | None = 30.0,
           default_model: str | None = None, ready=None,
           compile: bool = True, workers: int = 2,

@@ -46,7 +46,8 @@ import threading
 
 from ..parallel.executor import parallel_depth
 from ..parallel.fleet import WorkerFleet, serve_worker
-from .batching import QueuedEngine, _demux, _fuse, _request_groups
+from .batching import (DEFAULT_MAX_WAIT_MS, QueuedEngine, _demux, _fuse,
+                       _request_groups)
 from .engine import EngineClosed, EngineError
 
 __all__ = ["ProcessPoolEngine", "worker_main"]
@@ -130,8 +131,9 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
     closed_error = EngineClosed
 
     def __init__(self, session, workers: int = 2, max_batch: int | None = None,
-                 max_wait_ms: float = 2.0, queue_size: int = 256,
-                 seed: int = 0, autostart: bool = True):
+                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
+                 queue_size: int = 256, seed: int = 0,
+                 autostart: bool = True):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if parallel_depth() > 0:

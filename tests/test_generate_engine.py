@@ -60,8 +60,7 @@ class TestContinuousBatchingStorm:
                                         eos_id=EOS)[0][:budget]
                     for source, budget in zip(sources, budgets)]
 
-        engine = GenerationEngine(model, bos_id=BOS, eos_id=EOS, max_batch=4,
-                                  max_wait_ms=1.0)
+        engine = GenerationEngine(model, bos_id=BOS, eos_id=EOS, max_batch=4)
         futures: list = [None] * len(sources)
 
         def client(index: int) -> None:
@@ -244,23 +243,48 @@ class TestBackpressureAndDrain:
         engine.close()
 
 
+class TestIdleScheduler:
+    def test_idle_scheduler_blocks_instead_of_polling(self):
+        """An idle engine waits on the queue: no admit calls after its first
+        until a request or close() wakes it."""
+        engine = GenerationEngine(_tiny_transformer(), bos_id=BOS, eos_id=EOS,
+                                  autostart=False)
+        calls = []
+        admit = engine._admit
+
+        def counting_admit():
+            calls.append(1)
+            admit()
+
+        engine._admit = counting_admit
+        engine.start()
+        try:
+            time.sleep(0.3)
+            assert len(calls) <= 2
+            result = engine.submit(_source(5, 0),
+                                   max_new_tokens=2).result(timeout=30)
+            assert len(result["tokens"]) <= 2
+        finally:
+            engine.close()
+        assert not engine._thread.is_alive()
+
+
 class TestStatsSchema:
     def test_flat_schema_mirrors_queued_engine(self):
         model = _tiny_transformer()
         with GenerationEngine(model, bos_id=BOS, eos_id=EOS, max_batch=2,
-                              queue_size=7, max_wait_ms=1.5) as engine:
+                              queue_size=7) as engine:
             engine.submit(_source(5, 0), max_new_tokens=4).result(timeout=30)
             stats = engine.stats()
+        # The queued-engine schema minus max_wait_ms: no coalescing window.
         assert set(stats) == {"engine", "requests", "samples", "batches",
                               "mean_batch_rows", "queue_depth", "queue_size",
-                              "max_batch", "max_wait_ms", "closed",
-                              "generation"}
+                              "max_batch", "closed", "generation"}
         assert stats["engine"] == "generation"
         assert stats["requests"] == 1
         assert stats["samples"] == stats["generation"]["tokens_generated"]
         assert stats["queue_size"] == 7
         assert stats["max_batch"] == 2
-        assert stats["max_wait_ms"] == 1.5
 
     def test_generation_section_schema_and_occupancy(self):
         model = _tiny_transformer()

@@ -338,22 +338,34 @@ class TestHTTP:
     def test_chunked_body_gets_411_and_closes_the_connection(self, http_server):
         """A chunked body is not decoded; replying without draining it would
         leave chunk bytes to corrupt the next request, so the server refuses
-        it with 411 and closes the connection."""
+        it with 411 and closes the connection.
+
+        A raw socket, because the server may answer and close before the
+        body is written: ``http.client`` then raises ``BrokenPipeError`` from
+        the body write before the reply can be read."""
         import http.client
 
         base, _ = http_server
         host, port = base.removeprefix("http://").split(":")
-        connection = http.client.HTTPConnection(host, int(port), timeout=30)
-        try:
-            # An iterator body makes http.client send Transfer-Encoding: chunked.
-            connection.request("POST", "/v1/models/default/predict",
-                               body=iter([b'{"inputs": ', b"[]}"]))
-            response = connection.getresponse()
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(b"POST /v1/models/default/predict HTTP/1.1\r\n"
+                         b"Host: " + host.encode() + b"\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n")
+            try:
+                sock.sendall(b'b\r\n{"inputs": \r\n3\r\n[]}\r\n0\r\n\r\n')
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the 411 and the close may already be out
+            response = http.client.HTTPResponse(sock)
+            response.begin()
             assert response.status == 411
             assert "Transfer-Encoding" in json.loads(response.read())["error"]
             assert response.will_close
-        finally:
-            connection.close()
+            try:  # the server closed its end: end of stream, or a reset
+                closed = sock.recv(1) == b""  # if the body write hit it
+            except ConnectionResetError:
+                closed = True
+            assert closed
         with urllib.request.urlopen(f"{base}/v1/models", timeout=30) as response:
             assert response.status == 200
             assert json.load(response)["default"] == "default"

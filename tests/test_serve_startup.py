@@ -13,6 +13,7 @@ from repro.experiments import get_scale
 from repro.experiments.table2 import build_transformer, save_translation_bundle
 from repro.io import save_bundle
 from repro.models import SimpleCNN
+from repro.serve.batching import DEFAULT_MAX_WAIT_MS
 from repro.serve.http import PredictionServer, serve
 
 
@@ -36,14 +37,15 @@ def bundles(tmp_path_factory):
 
 def _classifier(engine: str, workers: int | None = None) -> dict:
     return {"engine": engine, "max_batch": 64, "slots": None,
-            "max_wait_ms": 2.0, "queue_size": 256, "workers": workers,
-            "compile": True}
+            "max_wait_ms": DEFAULT_MAX_WAIT_MS, "queue_size": 256,
+            "workers": workers, "compile": True}
 
 
 def _load_options(engine: str, workers: int = 2) -> dict:
     """What a hot reload of the model re-loads the bundle with."""
-    return {"engine": engine, "max_batch": 64, "max_wait_ms": 2.0,
-            "queue_size": 256, "workers": workers, "compile": True}
+    return {"engine": engine, "max_batch": 64,
+            "max_wait_ms": DEFAULT_MAX_WAIT_MS, "queue_size": 256,
+            "workers": workers, "compile": True}
 
 
 #: The ``repro serve`` command lines perfbench and CI start servers with, and
@@ -55,7 +57,7 @@ COMMAND_LINES = {
              {"default": (_classifier("pool", 2), _load_options("pool"))}),
     "generation": (["{gen}"],
                    {"default": ({"engine": "generation", "max_batch": 64,
-                                 "slots": 64, "max_wait_ms": 2.0,
+                                 "slots": 64, "max_wait_ms": None,
                                  "queue_size": 256, "workers": None,
                                  "compile": None},
                                 _load_options("batched"))}),
@@ -72,7 +74,7 @@ def _settings(entry: dict) -> dict:
     return {"engine": scheduler["engine"],
             "max_batch": scheduler["max_batch"],
             "slots": scheduler.get("generation", {}).get("slots"),
-            "max_wait_ms": scheduler["max_wait_ms"],
+            "max_wait_ms": scheduler.get("max_wait_ms"),
             "queue_size": scheduler["queue_size"],
             "workers": scheduler.get("workers"),
             "compile": (entry["plan_cache"] or {}).get("compile")}
