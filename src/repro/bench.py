@@ -37,7 +37,7 @@ import numpy as np
 from .experiments.runner import default_cache_dir, run_many
 from .io.serialization import atomic_write_json
 
-__all__ = ["time_callable", "time_alternating", "fused_kernel_benchmarks",
+__all__ = ["time_alternating", "fused_kernel_benchmarks",
            "inference_benchmarks", "serving_benchmarks", "pool_benchmarks",
            "trace_benchmarks", "generation_benchmarks", "training_benchmarks",
            "benchmark_experiments", "Micro", "MICROS", "select",
@@ -53,15 +53,11 @@ FUSED_BENCH_KEYS = {
 }
 
 
-def time_callable(function, rounds: int = 10, warmup: int = 1) -> dict:
-    """Wall-clock statistics for ``rounds`` calls of ``function()``."""
-    return time_alternating([function], rounds=rounds, warmup=warmup)[0]
-
-
 def time_alternating(functions, rounds: int = 10, warmup: int = 1) -> list[dict]:
-    """:func:`time_callable` statistics for each of ``functions``, called in
-    turn once per round, so a change in machine load mid-run lands on all of
-    them alike instead of on whichever ran during it."""
+    """Wall-clock statistics (mean, min, stddev over ``rounds`` calls) for
+    each of ``functions``, called in turn once per round, so a change in
+    machine load mid-run lands on all of them alike instead of on whichever
+    ran during it."""
     for _ in range(warmup):
         for function in functions:
             function()
@@ -81,7 +77,7 @@ def time_alternating(functions, rounds: int = 10, warmup: int = 1) -> list[dict]
 
 def _speedup(slow: dict, fast: dict) -> dict:
     """``speedup`` (mean) and ``speedup_best`` (best-of-rounds) of ``fast``
-    over ``slow``, two :func:`time_callable` results; empty when ``fast``
+    over ``slow``, two :func:`time_alternating` results; empty when ``fast``
     timed zero."""
     if fast["mean_seconds"] <= 0 or fast["min_seconds"] <= 0:
         return {}
@@ -456,7 +452,8 @@ def generation_benchmarks(rounds: int = 3, warmup: int = 1, batch: int = 16,
     re-runs :meth:`~repro.models.transformer.Transformer.decode` over the
     whole growing prefix — O(T) versus O(T²) in decoder forwards.  Tokens/sec
     for both and their ratio land under ``generation`` in
-    ``BENCH_autograd.json`` (CI floor: 2x at ``max_len`` 32).
+    ``BENCH_autograd.json`` (CI floor: 2x at ``max_len`` 32).  The two paths
+    are timed alternately (:func:`time_alternating`).
     """
     from .models import Transformer
     from .tensor import no_grad
@@ -489,8 +486,8 @@ def generation_benchmarks(rounds: int = 3, warmup: int = 1, batch: int = 16,
                 tokens = np.where(tokens == model.pad_id, bos, tokens)
                 generated = np.concatenate([generated, tokens[:, None]], axis=1)
 
-    incremental_stats = time_callable(incremental, rounds=rounds, warmup=warmup)
-    reference_stats = time_callable(reference, rounds=rounds, warmup=warmup)
+    incremental_stats, reference_stats = time_alternating(
+        [incremental, reference], rounds=rounds, warmup=warmup)
     tokens_per_round = batch * steps
     return {
         "model": "transformer/proposed",

@@ -184,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     train_parser.add_argument("--resume-from", default=None, metavar="CKPT",
                               help="resume from a checkpoint .npz (e.g. "
                                    "DIR/last_step.npz after a kill -9)")
-    train_parser.add_argument("--no-augment", dest="augment",
-                              action="store_false",
-                              help="disable train-time augmentation")
     train_parser.add_argument("--output", default=None, metavar="NPZ",
                               help="final checkpoint path (default: "
                                    "CHECKPOINT_DIR/final.npz when "
@@ -559,11 +556,10 @@ def _command_train(args) -> int:
     model_kwargs.update(_parse_model_args(args.model_args))
     model = build_model(args.model, **model_kwargs)
 
-    augmentation = standard_cifar_augmentation(scale.augmentation_padding) \
-        if args.augment else None
     loader = DataLoader(dataset.train_images, dataset.train_labels,
                         batch_size=batch_size, shuffle=True,
-                        augmentation=augmentation, seed=seed)
+                        augmentation=standard_cifar_augmentation(scale.augmentation_padding),
+                        seed=seed)
     trainer = make_trainer(model, scale, epochs=epochs,
                            world_size=args.world_size,
                            train_jobs=args.train_jobs, train_seed=seed)

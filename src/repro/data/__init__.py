@@ -1,11 +1,6 @@
 """Data substrate: synthetic image classification, augmentation, loaders, translation."""
 
-from .synthetic_images import (
-    SyntheticImageClassification,
-    make_cifar10_like,
-    make_cifar100_like,
-    make_imagenet_like,
-)
+from .synthetic_images import SyntheticImageClassification
 from .augmentation import (
     random_crop,
     random_horizontal_flip,
@@ -18,9 +13,6 @@ from .translation import SyntheticTranslationTask, TranslationPair
 
 __all__ = [
     "SyntheticImageClassification",
-    "make_cifar10_like",
-    "make_cifar100_like",
-    "make_imagenet_like",
     "random_crop",
     "random_horizontal_flip",
     "Compose",

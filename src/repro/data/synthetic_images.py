@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "SyntheticImageClassification",
-    "make_cifar10_like",
-    "make_cifar100_like",
-    "make_imagenet_like",
-]
+__all__ = ["SyntheticImageClassification"]
 
 
 @dataclass
@@ -168,24 +163,3 @@ class SyntheticImageClassification:
         config = {f.name: f.default for f in fields(cls) if f.init}
         config.update(overrides)
         return {key: config[key] for key in cls.DESCRIBE_KEYS}
-
-
-def make_cifar10_like(image_size: int = 16, train_size: int = 512, test_size: int = 128,
-                      seed: int = 0) -> SyntheticImageClassification:
-    """10-class stand-in for CIFAR-10 at a configurable (reduced) resolution."""
-    return SyntheticImageClassification(num_classes=10, image_size=image_size,
-                                        train_size=train_size, test_size=test_size, seed=seed)
-
-
-def make_cifar100_like(image_size: int = 16, train_size: int = 1024, test_size: int = 256,
-                       num_classes: int = 20, seed: int = 0) -> SyntheticImageClassification:
-    """Many-class stand-in for CIFAR-100 (class count reduced for CPU budgets)."""
-    return SyntheticImageClassification(num_classes=num_classes, image_size=image_size,
-                                        train_size=train_size, test_size=test_size, seed=seed)
-
-
-def make_imagenet_like(image_size: int = 24, train_size: int = 768, test_size: int = 192,
-                       num_classes: int = 16, seed: int = 0) -> SyntheticImageClassification:
-    """Larger-resolution stand-in for the ImageNet training-stability study."""
-    return SyntheticImageClassification(num_classes=num_classes, image_size=image_size,
-                                        train_size=train_size, test_size=test_size, seed=seed)

@@ -17,7 +17,7 @@ Module       Paper artifact
 from . import ablation, fig4, fig5, fig6, fig7, fig8, table1, table2
 from .config import ExperimentScale, SCALES, get_scale
 from .registry import ExperimentSpec, all_specs, experiment_names, get_spec, register
-from .reporting import SweepReporter, format_table, format_percentage, relative_change
+from .reporting import SweepReporter, format_table, relative_change
 from .runner import ExperimentOutcome, config_hash, run_experiment, run_many
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "run_experiment",
     "run_many",
     "format_table",
-    "format_percentage",
     "relative_change",
 ]

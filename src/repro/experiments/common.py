@@ -124,7 +124,6 @@ def train_image_classifier(model: Module, dataset: SyntheticImageClassification,
                            scale: ExperimentScale, epochs: int | None = None,
                            learning_rate: float | None = None,
                            quadratic_learning_rate: float | None = None,
-                           augment: bool = True,
                            bundle_dir: str | Path | None = None) -> tuple[Trainer, dict]:
     """Train ``model`` on ``dataset`` and return the trainer plus final test metrics.
 
@@ -135,10 +134,10 @@ def train_image_classifier(model: Module, dataset: SyntheticImageClassification,
     models come out directly servable by ``repro predict`` / ``repro serve``.
     """
     epochs = epochs or scale.epochs
-    augmentation = standard_cifar_augmentation(scale.augmentation_padding) if augment else None
     loader = DataLoader(dataset.train_images, dataset.train_labels,
                         batch_size=scale.batch_size, shuffle=True,
-                        augmentation=augmentation, seed=scale.seed)
+                        augmentation=standard_cifar_augmentation(scale.augmentation_padding),
+                        seed=scale.seed)
     trainer = make_trainer(model, scale, epochs=epochs, learning_rate=learning_rate,
                            quadratic_learning_rate=quadratic_learning_rate)
     trainer.bundle_info = classifier_bundle_info(dataset)
@@ -152,9 +151,11 @@ def train_image_classifier(model: Module, dataset: SyntheticImageClassification,
         # Training knobs never reach the model constructor, so they go into
         # the filename digest: two cells training an identical architecture
         # under different recipes must not overwrite each other's bundle.
+        # ``"augment": True`` is a constant, kept in the digest because the
+        # bundle names already recorded in artifacts hash it.
         discriminator = {"epochs": epochs, "learning_rate": learning_rate,
                          "quadratic_learning_rate": quadratic_learning_rate,
-                         "augment": augment, "scale_seed": scale.seed}
+                         "augment": True, "scale_seed": scale.seed}
         save_bundle(bundle_dir / default_bundle_name(model, discriminator), model,
                     info={**trainer.bundle_info,
                           "metrics": {"test_loss": final["loss"],

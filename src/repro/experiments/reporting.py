@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 import time
 
-__all__ = ["format_table", "format_percentage", "relative_change", "SweepReporter"]
+__all__ = ["format_table", "relative_change", "SweepReporter"]
 
 
 def format_table(rows: list[dict], columns: list[str] | None = None,
@@ -106,8 +106,3 @@ def relative_change(new_value: float, reference_value: float) -> float:
     if reference_value == 0:
         return 0.0
     return (new_value - reference_value) / reference_value
-
-
-def format_percentage(fraction: float) -> str:
-    """Render a fraction as a signed percentage string (``-0.293`` → ``"-29.3%"``)."""
-    return f"{fraction * 100:+.1f}%"

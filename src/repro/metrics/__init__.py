@@ -1,6 +1,6 @@
 """Metrics: accuracy, BLEU, and the parameter/MAC profiler."""
 
-from .accuracy import accuracy, top_k_accuracy
+from .accuracy import accuracy
 from .bleu import (
     bleu_score,
     corpus_bleu,
@@ -18,7 +18,6 @@ from .profiler import (
 
 __all__ = [
     "accuracy",
-    "top_k_accuracy",
     "bleu_score",
     "corpus_bleu",
     "tokenize_13a",

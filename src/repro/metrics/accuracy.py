@@ -6,26 +6,12 @@ import numpy as np
 
 from ..tensor import Tensor
 
-__all__ = ["accuracy", "top_k_accuracy"]
-
-
-def _logits_to_array(logits) -> np.ndarray:
-    return logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+__all__ = ["accuracy"]
 
 
 def accuracy(logits, targets: np.ndarray) -> float:
     """Top-1 accuracy in [0, 1] from raw logits and integer targets."""
-    scores = _logits_to_array(logits)
+    scores = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     predictions = scores.argmax(axis=-1)
     targets = np.asarray(targets)
     return float((predictions == targets).mean())
-
-
-def top_k_accuracy(logits, targets: np.ndarray, k: int = 5) -> float:
-    """Top-k accuracy in [0, 1]."""
-    scores = _logits_to_array(logits)
-    targets = np.asarray(targets)
-    k = min(k, scores.shape[-1])
-    top_k = np.argsort(-scores, axis=-1)[..., :k]
-    hits = (top_k == targets[..., None]).any(axis=-1)
-    return float(hits.mean())

@@ -13,19 +13,8 @@ from .registry import (
     get_model_builder,
     model_names,
     register_model,
-    spec_of,
 )
-from .resnet import (
-    BasicBlock,
-    CifarResNet,
-    ResNet18,
-    resnet20,
-    resnet32,
-    resnet44,
-    resnet56,
-    resnet110,
-    CIFAR_RESNET_DEPTHS,
-)
+from .resnet import BasicBlock, CifarResNet, ResNet18
 from .cnn import SimpleCNN, MLPClassifier
 from .transformer import (
     Transformer,
@@ -45,16 +34,9 @@ __all__ = [
     "get_model_builder",
     "model_names",
     "register_model",
-    "spec_of",
     "BasicBlock",
     "CifarResNet",
     "ResNet18",
-    "resnet20",
-    "resnet32",
-    "resnet44",
-    "resnet56",
-    "resnet110",
-    "CIFAR_RESNET_DEPTHS",
     "SimpleCNN",
     "MLPClassifier",
     "Transformer",

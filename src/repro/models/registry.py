@@ -44,7 +44,6 @@ __all__ = [
     "build_from_spec",
     "get_model_builder",
     "model_names",
-    "spec_of",
     "sanitize_spec_value",
 ]
 
@@ -225,8 +224,3 @@ def build_from_spec(spec: dict):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ValueError(f"not a model spec: {spec!r}")
     return build_model(spec["name"], **(spec.get("kwargs") or {}))
-
-
-def spec_of(model) -> dict | None:
-    """The model's captured spec, or ``None`` when it is not servable."""
-    return getattr(model, "model_spec", None)

@@ -28,19 +28,7 @@ from ..quadratic.factory import make_conv
 from ..tensor import Tensor
 from .registry import register_model
 
-__all__ = [
-    "BasicBlock",
-    "CifarResNet",
-    "ResNet18",
-    "resnet20",
-    "resnet32",
-    "resnet44",
-    "resnet56",
-    "resnet110",
-    "CIFAR_RESNET_DEPTHS",
-]
-
-CIFAR_RESNET_DEPTHS = (20, 32, 44, 56, 110)
+__all__ = ["BasicBlock", "CifarResNet", "ResNet18"]
 
 
 class _ConvCounter:
@@ -167,21 +155,6 @@ class CifarResNet(nn.Module):
         out = self.stage2(out)
         out = self.stage3(out)
         return self.classifier(self.pool(out))
-
-
-def _named_cifar_resnet(depth: int):
-    def build(num_classes: int = 10, **kwargs) -> CifarResNet:
-        return CifarResNet(depth, num_classes=num_classes, **kwargs)
-    build.__name__ = f"resnet{depth}"
-    build.__doc__ = f"CIFAR-style ResNet-{depth} (see :class:`CifarResNet`)."
-    return build
-
-
-resnet20 = _named_cifar_resnet(20)
-resnet32 = _named_cifar_resnet(32)
-resnet44 = _named_cifar_resnet(44)
-resnet56 = _named_cifar_resnet(56)
-resnet110 = _named_cifar_resnet(110)
 
 
 @register_model("resnet18")

@@ -10,7 +10,7 @@ from .layers import (
     Dropout,
     Embedding,
 )
-from .activations import ReLU, GELU, Sigmoid, Tanh, LeakyReLU, SiLU, Softmax
+from .activations import ReLU
 from .normalization import BatchNorm2d, BatchNorm1d, LayerNorm
 from .loss import CrossEntropyLoss, LabelSmoothingLoss, MSELoss
 from . import init
@@ -29,12 +29,6 @@ __all__ = [
     "Dropout",
     "Embedding",
     "ReLU",
-    "GELU",
-    "Sigmoid",
-    "Tanh",
-    "LeakyReLU",
-    "SiLU",
-    "Softmax",
     "BatchNorm2d",
     "BatchNorm1d",
     "LayerNorm",

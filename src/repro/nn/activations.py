@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from ..tensor import Tensor
-from ..tensor import functional as F
 from .module import Module
 
-__all__ = ["ReLU", "GELU", "Sigmoid", "Tanh", "LeakyReLU", "SiLU", "Softmax"]
+__all__ = ["ReLU"]
 
 
 class ReLU(Module):
@@ -14,53 +13,3 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class GELU(Module):
-    """Gaussian error linear unit (exact erf formulation)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.gelu(x)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class LeakyReLU(Module):
-    """Leaky rectified linear unit."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope)
-
-
-class SiLU(Module):
-    """Sigmoid linear unit (swish)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.silu(x)
-
-
-class Softmax(Module):
-    """Softmax along a configurable axis."""
-
-    def __init__(self, axis: int = -1):
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.softmax(x, axis=self.axis)

@@ -11,8 +11,6 @@ import numpy as np
 __all__ = [
     "kaiming_normal",
     "kaiming_uniform",
-    "xavier_normal",
-    "xavier_uniform",
     "orthogonal",
     "zeros",
     "ones",
@@ -21,24 +19,16 @@ __all__ = [
 ]
 
 
-def _fan_in_fan_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    if len(shape) == 2:
-        fan_in, fan_out = shape[1], shape[0]
-    elif len(shape) == 4:
-        receptive = shape[2] * shape[3]
-        fan_in, fan_out = shape[1] * receptive, shape[0] * receptive
-    elif len(shape) == 1:
-        fan_in = fan_out = shape[0]
-    else:
-        fan_in = int(np.prod(shape[1:]))
-        fan_out = shape[0]
-    return fan_in, fan_out
+def _fan_in(shape: tuple[int, ...]) -> int:
+    if len(shape) == 1:
+        return shape[0]
+    return int(np.prod(shape[1:]))
 
 
 def kaiming_normal(shape, rng: np.random.Generator, gain: float = np.sqrt(2.0),
                    dtype=np.float32) -> np.ndarray:
     """He-normal initialization (suited to ReLU networks)."""
-    fan_in, _ = _fan_in_fan_out(tuple(shape))
+    fan_in = _fan_in(tuple(shape))
     std = gain / np.sqrt(max(fan_in, 1))
     return (rng.standard_normal(shape) * std).astype(dtype)
 
@@ -46,24 +36,8 @@ def kaiming_normal(shape, rng: np.random.Generator, gain: float = np.sqrt(2.0),
 def kaiming_uniform(shape, rng: np.random.Generator, gain: float = np.sqrt(2.0),
                     dtype=np.float32) -> np.ndarray:
     """He-uniform initialization."""
-    fan_in, _ = _fan_in_fan_out(tuple(shape))
+    fan_in = _fan_in(tuple(shape))
     bound = gain * np.sqrt(3.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0,
-                  dtype=np.float32) -> np.ndarray:
-    """Glorot-normal initialization (suited to tanh/linear layers)."""
-    fan_in, fan_out = _fan_in_fan_out(tuple(shape))
-    std = gain * np.sqrt(2.0 / max(fan_in + fan_out, 1))
-    return (rng.standard_normal(shape) * std).astype(dtype)
-
-
-def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0,
-                   dtype=np.float32) -> np.ndarray:
-    """Glorot-uniform initialization."""
-    fan_in, fan_out = _fan_in_fan_out(tuple(shape))
-    bound = gain * np.sqrt(6.0 / max(fan_in + fan_out, 1))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 

@@ -3,7 +3,7 @@
 from .optimizer import Optimizer, split_parameter_groups
 from .sgd import SGD
 from .adam import Adam
-from .lr_scheduler import LRScheduler, MultiStepLR, NoamLR, CosineAnnealingLR
+from .lr_scheduler import LRScheduler, MultiStepLR, NoamLR
 
 __all__ = [
     "Optimizer",
@@ -13,5 +13,4 @@ __all__ = [
     "LRScheduler",
     "MultiStepLR",
     "NoamLR",
-    "CosineAnnealingLR",
 ]

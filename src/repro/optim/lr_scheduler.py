@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .optimizer import Optimizer
 
-__all__ = ["LRScheduler", "MultiStepLR", "NoamLR", "CosineAnnealingLR"]
+__all__ = ["LRScheduler", "MultiStepLR", "NoamLR"]
 
 
 class LRScheduler:
@@ -77,18 +77,3 @@ class NoamLR(LRScheduler):
         step = max(step, 1)
         return self.scale * (self.model_dim ** -0.5) * min(step ** -0.5,
                                                            step * self.warmup_steps ** -1.5)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR to ``min_factor`` of it over ``total_steps``."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int, min_factor: float = 0.0):
-        super().__init__(optimizer)
-        self.total_steps = max(total_steps, 1)
-        self.min_factor = min_factor
-
-    def get_factor(self, step: int) -> float:
-        import math
-        progress = min(step / self.total_steps, 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_factor + (1.0 - self.min_factor) * cosine

@@ -29,7 +29,7 @@ from .executor import (
     run_tasks,
 )
 from .locks import FileLock, LockTimeout
-from .seeding import derive_seed, spawn_rng
+from .seeding import derive_seed
 from .worker import execute_task, resolve_callable
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "FileLock",
     "LockTimeout",
     "derive_seed",
-    "spawn_rng",
     "execute_task",
     "resolve_callable",
 ]

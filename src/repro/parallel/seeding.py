@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 
-__all__ = ["derive_seed", "spawn_rng", "seed_task_globals"]
+__all__ = ["derive_seed", "seed_task_globals"]
 
 
 def derive_seed(root_seed: int, *components, bits: int = 32) -> int:
@@ -31,11 +31,6 @@ def derive_seed(root_seed: int, *components, bits: int = 32) -> int:
                            separators=(",", ":"), default=str)
     digest = hashlib.sha256(canonical.encode("utf-8")).digest()
     return int.from_bytes(digest[: bits // 8], "big")
-
-
-def spawn_rng(root_seed: int, *components) -> np.random.Generator:
-    """A NumPy ``Generator`` seeded with :func:`derive_seed` of the arguments."""
-    return np.random.default_rng(derive_seed(root_seed, *components))
 
 
 def seed_task_globals(seed: int) -> None:

@@ -3,12 +3,10 @@
 from .decomposition import (
     QuadraticDecomposition,
     symmetrize,
-    is_symmetric,
     eigendecompose,
     top_k_truncation,
     reconstruct,
     frobenius_error,
-    best_rank_k_error,
 )
 from .complexity import (
     NeuronComplexity,
@@ -38,12 +36,10 @@ from .factory import CONV_NEURON_TYPES, DENSE_NEURON_TYPES, make_conv, make_dens
 __all__ = [
     "QuadraticDecomposition",
     "symmetrize",
-    "is_symmetric",
     "eigendecompose",
     "top_k_truncation",
     "reconstruct",
     "frobenius_error",
-    "best_rank_k_error",
     "NeuronComplexity",
     "NEURON_FORMULAS",
     "neuron_complexity",

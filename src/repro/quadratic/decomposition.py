@@ -21,12 +21,10 @@ import numpy as np
 
 __all__ = [
     "symmetrize",
-    "is_symmetric",
     "eigendecompose",
     "top_k_truncation",
     "reconstruct",
     "frobenius_error",
-    "best_rank_k_error",
     "QuadraticDecomposition",
 ]
 
@@ -37,12 +35,6 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     return 0.5 * (matrix + matrix.T)
-
-
-def is_symmetric(matrix: np.ndarray, tolerance: float = 1e-10) -> bool:
-    """Check symmetry up to ``tolerance``."""
-    matrix = np.asarray(matrix)
-    return bool(np.allclose(matrix, matrix.T, atol=tolerance))
 
 
 def eigendecompose(matrix: np.ndarray, sort_by_magnitude: bool = True
@@ -91,17 +83,6 @@ def reconstruct(lambda_k: np.ndarray, q_k: np.ndarray) -> np.ndarray:
 def frobenius_error(matrix: np.ndarray, approximation: np.ndarray) -> float:
     """Frobenius-norm approximation error ``‖M − M̂‖_F``."""
     return float(np.linalg.norm(np.asarray(matrix) - np.asarray(approximation), ord="fro"))
-
-
-def best_rank_k_error(matrix: np.ndarray, k: int) -> float:
-    """Eckart–Young lower bound: the smallest possible rank-``k`` Frobenius error.
-
-    For a symmetric matrix this equals ``sqrt(Σ_{i>k} λ_i²)`` over the
-    eigenvalues discarded by magnitude.
-    """
-    eigenvalues, _ = eigendecompose(matrix)
-    discarded = eigenvalues[k:]
-    return float(np.sqrt(np.sum(discarded ** 2)))
 
 
 @dataclass

@@ -1,12 +1,11 @@
 """Differentiable functions composed from :class:`~repro.tensor.Tensor` primitives.
 
-These helpers cover numerically-stable softmax family operations, activations
-that are not simple methods of :class:`Tensor`, dropout, and utility encodings
-used by the loss functions and models.
+These helpers cover numerically-stable softmax family operations, dropout,
+and utility encodings used by the loss functions and models.
 
-The softmax family and ``gelu`` dispatch to fused registry ops with
-hand-derived VJPs (one graph node each); the remaining helpers are genuine
-compositions of primitives.
+The softmax family dispatches to fused registry ops with hand-derived VJPs
+(one graph node each); the remaining helpers are genuine compositions of
+primitives.
 """
 
 from __future__ import annotations
@@ -20,23 +19,11 @@ __all__ = [
     "softmax",
     "attention_softmax",
     "log_softmax",
-    "logsumexp",
-    "gelu",
-    "silu",
-    "leaky_relu",
     "dropout",
     "one_hot",
     "cross_entropy_with_logits",
     "mse_loss",
 ]
-
-
-def logsumexp(logits: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable ``log(sum(exp(x)))`` along ``axis``."""
-    stable = apply_op("logsumexp", logits, axis=axis)
-    if keepdims:
-        return stable
-    return stable.squeeze(axis if axis >= 0 else logits.ndim + axis)
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -59,28 +46,6 @@ def attention_softmax(logits: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along ``axis``."""
     return apply_op("log_softmax", logits, axis=axis)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit using the exact erf formulation.
-
-    The forward pass is ``x * Phi(x)`` where ``Phi`` is the standard normal
-    CDF; the registered VJP applies the exact derivative
-    ``Phi(x) + x * phi(x)``.
-    """
-    return apply_op("gelu", x)
-
-
-def silu(x: Tensor) -> Tensor:
-    """Sigmoid linear unit (swish)."""
-    return x * x.sigmoid()
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    """Leaky rectified linear unit."""
-    positive = x.relu()
-    negative = (-((-x).relu())) * negative_slope
-    return positive + negative
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -46,11 +46,9 @@ im2col and one gemm.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "OpContext",
@@ -446,22 +444,6 @@ register_op("relu", _relu_fw, _relu_vjp,
             elementwise=True)
 
 
-def _gelu_fw(ctx, a, out=None):
-    cdf = 0.5 * (1.0 + special.erf(a / math.sqrt(2.0)))
-    if ctx.requires_grad:
-        pdf = np.exp(-0.5 * a ** 2) / math.sqrt(2.0 * math.pi)
-        ctx.saved = cdf + a * pdf
-    return np.multiply(a, cdf, out=out)
-
-
-def _gelu_vjp(ctx, grad, needs):
-    return (grad * ctx.saved,)
-
-
-register_op("gelu", _gelu_fw, _gelu_vjp, sample=lambda rng: ([_sn(rng, 3, 5)], {}),
-            elementwise=True)
-
-
 def _clip_fw(ctx, a, min_value=None, max_value=None, out=None):
     if ctx.requires_grad:
         inside = np.ones_like(a, dtype=bool)
@@ -605,23 +587,6 @@ def _log_softmax_vjp(ctx, grad, needs):
 
 
 register_op("log_softmax", _log_softmax_fw, _log_softmax_vjp,
-            sample=lambda rng: ([_sn(rng, 4, 6)], {"axis": -1}))
-
-
-def _logsumexp_fw(ctx, a, axis=-1):
-    """Always keeps the reduced dimension; the Tensor wrapper squeezes it."""
-    shift = a.max(axis=axis, keepdims=True)
-    value = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
-    if ctx.requires_grad:
-        ctx.saved = np.exp(a - value)
-    return value
-
-
-def _logsumexp_vjp(ctx, grad, needs):
-    return (grad * ctx.saved,)
-
-
-register_op("logsumexp", _logsumexp_fw, _logsumexp_vjp,
             sample=lambda rng: ([_sn(rng, 4, 6)], {"axis": -1}))
 
 

@@ -13,9 +13,6 @@ from repro.data import (
     SyntheticImageClassification,
     SyntheticTranslationTask,
     Vocabulary,
-    make_cifar10_like,
-    make_cifar100_like,
-    make_imagenet_like,
     random_crop,
     random_horizontal_flip,
     standard_cifar_augmentation,
@@ -66,11 +63,6 @@ class TestSyntheticImages:
         assert len(data) == 30
         description = data.describe()
         assert description["train_size"] == 30
-
-    def test_convenience_builders(self):
-        assert make_cifar10_like(train_size=16, test_size=4).num_classes == 10
-        assert make_cifar100_like(train_size=16, test_size=4, num_classes=20).num_classes == 20
-        assert make_imagenet_like(train_size=16, test_size=4, image_size=20).image_size == 20
 
 
 class TestAugmentation:

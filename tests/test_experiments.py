@@ -13,7 +13,6 @@ from repro.experiments import (
     fig6,
     fig7,
     fig8,
-    format_percentage,
     format_table,
     get_scale,
     relative_change,
@@ -57,10 +56,9 @@ class TestReporting:
     def test_format_table_empty(self):
         assert format_table([]) == "(no rows)"
 
-    def test_relative_change_and_percentage(self):
+    def test_relative_change(self):
         assert relative_change(70, 100) == pytest.approx(-0.3)
         assert relative_change(5, 0) == 0.0
-        assert format_percentage(-0.293) == "-29.3%"
 
 
 class TestTable1:

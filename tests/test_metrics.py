@@ -12,7 +12,6 @@ from repro.metrics import (
     profile_model,
     tokenize_13a,
     tokenize_international,
-    top_k_accuracy,
 )
 from repro.models import CifarResNet
 from repro.quadratic import (
@@ -34,11 +33,6 @@ class TestAccuracy:
 
     def test_accepts_tensor(self):
         assert accuracy(Tensor(np.eye(3)), np.arange(3)) == 1.0
-
-    def test_top_k(self):
-        logits = np.array([[0.1, 0.5, 0.4], [0.9, 0.02, 0.08]])
-        assert top_k_accuracy(logits, np.array([2, 1]), k=2) == pytest.approx(0.5)
-        assert top_k_accuracy(logits, np.array([2, 1]), k=3) == 1.0
 
 
 class TestTokenizers:

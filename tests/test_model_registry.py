@@ -15,7 +15,6 @@ from repro.models import (
     get_model_builder,
     model_names,
     register_model,
-    spec_of,
 )
 from repro.models.registry import _REGISTRY, sanitize_spec_value
 from repro.quadratic.factory import neuron_conv2d, neuron_linear
@@ -51,7 +50,7 @@ class TestSpecCapture:
     def test_direct_construction_attaches_spec(self):
         model = SimpleCNN(num_classes=4, neuron_type="proposed", rank=2,
                           base_width=4, image_size=8, seed=3)
-        spec = spec_of(model)
+        spec = model.model_spec
         assert spec["name"] == "simple_cnn"
         assert spec["kwargs"]["num_classes"] == 4
         assert spec["kwargs"]["neuron_type"] == "proposed"
@@ -60,7 +59,7 @@ class TestSpecCapture:
 
     def test_positional_arguments_are_captured_by_name(self):
         model = CifarResNet(8, 5, "proposed", seed=1, base_width=4)
-        kwargs = spec_of(model)["kwargs"]
+        kwargs = model.model_spec["kwargs"]
         assert kwargs["depth"] == 8
         assert kwargs["num_classes"] == 5
         assert kwargs["neuron_type"] == "proposed"
@@ -68,16 +67,16 @@ class TestSpecCapture:
     def test_factory_builders_attach_spec(self):
         layer = neuron_linear(neuron_type="proposed", in_features=6,
                               out_features=4, rank=2, seed=7)
-        spec = spec_of(layer)
+        spec = layer.model_spec
         assert spec["name"] == "neuron_linear"
         assert spec["kwargs"]["seed"] == 7
 
     def test_tuples_are_normalized_to_lists(self):
         model = MLPClassifier(12, 3, hidden_sizes=(8, 4), seed=0)
-        assert spec_of(model)["kwargs"]["hidden_sizes"] == [8, 4]
+        assert model.model_spec["kwargs"]["hidden_sizes"] == [8, 4]
 
     def test_unregistered_module_has_no_spec(self):
-        assert spec_of(nn.Linear(3, 2)) is None
+        assert nn.Linear(3, 2).model_spec is None
 
     def test_subclass_does_not_inherit_parent_spec(self):
         # A subclass is a different architecture; stamping it with the
@@ -87,7 +86,7 @@ class TestSpecCapture:
             pass
 
         model = Widened(num_classes=4, base_width=4, image_size=8, seed=0)
-        assert spec_of(model) is None
+        assert model.model_spec is None
 
     def test_registered_subclass_captures_its_own_spec(self):
         @register_model("_probe_sub")
@@ -96,7 +95,7 @@ class TestSpecCapture:
 
         try:
             model = Sub(num_classes=4, base_width=4, image_size=8, seed=0)
-            assert spec_of(model)["name"] == "_probe_sub"
+            assert model.model_spec["name"] == "_probe_sub"
         finally:
             _REGISTRY.pop("_probe_sub", None)
 
@@ -122,7 +121,7 @@ class TestBuildRoundTrip:
     ])
     def test_state_dicts_match_bit_exactly(self, make):
         original = make()
-        rebuilt = build_from_spec(spec_of(original))
+        rebuilt = build_from_spec(original.model_spec)
         state, rebuilt_state = original.state_dict(), rebuilt.state_dict()
         assert state.keys() == rebuilt_state.keys()
         for key in state:
@@ -132,7 +131,7 @@ class TestBuildRoundTrip:
         import json
 
         original = MLPClassifier(10, 4, hidden_sizes=(6, 5), seed=2)
-        spec = json.loads(json.dumps(spec_of(original)))
+        spec = json.loads(json.dumps(original.model_spec))
         rebuilt = build_from_spec(spec)
         x = Tensor(np.random.default_rng(0).standard_normal((3, 10)).astype(np.float32))
         assert np.array_equal(original.eval()(x).data, rebuilt.eval()(x).data)
@@ -140,7 +139,7 @@ class TestBuildRoundTrip:
     def test_transformer_round_trip(self):
         original = Transformer(src_vocab_size=11, tgt_vocab_size=13, model_dim=8,
                                num_heads=2, num_layers=1, hidden_dim=16, seed=1)
-        rebuilt = build_from_spec(spec_of(original))
+        rebuilt = build_from_spec(original.model_spec)
         state, rebuilt_state = original.state_dict(), rebuilt.state_dict()
         assert state.keys() == rebuilt_state.keys()
         for key in state:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.models import CIFAR_RESNET_DEPTHS, CifarResNet, MLPClassifier, ResNet18, SimpleCNN, \
-    resnet20
+from repro.experiments import get_scale
+from repro.models import CifarResNet, MLPClassifier, ResNet18, SimpleCNN
 from repro.quadratic import EfficientQuadraticConv2d, KervolutionConv2d
 from repro.tensor import Tensor
 
@@ -23,7 +23,9 @@ class TestCifarResNet:
             CifarResNet(21)
 
     def test_named_depths_are_valid(self):
-        assert all((depth - 2) % 6 == 0 for depth in CIFAR_RESNET_DEPTHS)
+        depths = get_scale("paper").resnet_depths
+        assert depths == (20, 32, 44, 56, 110)
+        assert all((depth - 2) % 6 == 0 for depth in depths)
 
     def test_output_shape(self):
         model = CifarResNet(8, num_classes=7, base_width=4, seed=0)
@@ -66,11 +68,6 @@ class TestCifarResNet:
         linear = CifarResNet(14, neuron_type="linear", base_width=10, seed=0)
         proposed = CifarResNet(14, neuron_type="proposed", rank=9, base_width=10, seed=0)
         assert proposed.num_parameters() < 1.05 * linear.num_parameters()
-
-    def test_named_constructor(self):
-        model = resnet20(num_classes=4, base_width=4)
-        assert model.depth == 20
-        assert model(_images()).shape == (2, 4)
 
     def test_deterministic_with_seed(self):
         a = CifarResNet(8, base_width=4, seed=5)

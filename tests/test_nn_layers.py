@@ -148,22 +148,10 @@ class TestLayerNorm:
 class TestActivationsModules:
     @pytest.mark.parametrize("module,reference", [
         (nn.ReLU(), lambda x: np.maximum(x, 0)),
-        (nn.Sigmoid(), lambda x: 1 / (1 + np.exp(-x))),
-        (nn.Tanh(), np.tanh),
-        (nn.SiLU(), lambda x: x / (1 + np.exp(-x))),
-        (nn.LeakyReLU(0.2), lambda x: np.where(x > 0, x, 0.2 * x)),
     ])
     def test_matches_reference(self, module, reference):
         x = RNG.standard_normal((3, 4)).astype(np.float64)
         np.testing.assert_allclose(module(Tensor(x)).data, reference(x), rtol=1e-5, atol=1e-6)
-
-    def test_softmax_module(self):
-        out = nn.Softmax(axis=-1)(Tensor(RNG.standard_normal((2, 5))))
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, rtol=1e-5)
-
-    def test_gelu_module(self):
-        out = nn.GELU()(Tensor(np.array([0.0, 10.0])))
-        np.testing.assert_allclose(out.data, [0.0, 10.0], atol=1e-4)
 
 
 class TestLosses:
@@ -182,7 +170,6 @@ class TestLosses:
     def test_init_helpers_shapes(self):
         rng = np.random.default_rng(0)
         assert nn.init.kaiming_normal((8, 4, 3, 3), rng).shape == (8, 4, 3, 3)
-        assert nn.init.xavier_uniform((5, 7), rng).shape == (5, 7)
         q = nn.init.orthogonal((10, 3), rng)
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-5)
         q_gained = nn.init.orthogonal((10, 3), rng, gain=2.0)

@@ -7,7 +7,6 @@ from repro import nn
 from repro.optim import (
     SGD,
     Adam,
-    CosineAnnealingLR,
     MultiStepLR,
     NoamLR,
     split_parameter_groups,
@@ -157,13 +156,6 @@ class TestSchedulers:
         peak = int(np.argmax(factors)) + 1
         assert peak == 10
         assert factors[0] < factors[9] > factors[-1]
-
-    def test_cosine_monotone_decay(self):
-        optimizer = self._optimizer()
-        scheduler = CosineAnnealingLR(optimizer, total_steps=10)
-        factors = [scheduler.get_factor(step) for step in range(1, 11)]
-        assert all(a >= b for a, b in zip(factors, factors[1:]))
-        assert factors[-1] == pytest.approx(0.0, abs=1e-6)
 
     def test_current_lrs(self):
         optimizer = self._optimizer()

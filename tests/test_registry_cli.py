@@ -184,6 +184,23 @@ class TestRunnerCache:
 
 
 class TestCLI:
+    def test_package_imports_without_scipy(self):
+        """The package, CLI, server and bench need NumPy alone: importing them
+        in a fresh interpreter loads no ``scipy`` module."""
+        import os
+        import sys
+
+        import repro
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys\n"
+                 "import repro, repro.cli, repro.serve, repro.bench\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        completed = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                   text=True, timeout=120, env=env)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
     def test_list_shows_all_experiments(self, capsys, tmp_path):
         assert cli.main(["list", "--cache-dir", str(tmp_path)]) == 0
         output = capsys.readouterr().out

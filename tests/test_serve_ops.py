@@ -700,6 +700,9 @@ class TestPromoteCLI:
 
     def test_promote_canary_then_finalize(self, live_server, capsys):
         base, quad, linear = live_server
+        assert cli.main(["promote", linear, "--server", base, "--shadow"]) == 0
+        staged = json.loads(capsys.readouterr().out)
+        assert staged["shadow"] is True and staged["percent"] == 0.0
         assert cli.main(["promote", linear, "--server", base,
                          "--canary", "25"]) == 0
         assert json.loads(capsys.readouterr().out)["percent"] == 25.0
@@ -709,11 +712,15 @@ class TestPromoteCLI:
         assert stats["models"]["main"]["bundle"]["path"] == linear
 
     def test_reload_verb_reloads_default_model(self, live_server, capsys):
-        base, quad, _ = live_server
+        base, quad, linear = live_server
         assert cli.main(["reload", "--server", base]) == 0
         output = json.loads(capsys.readouterr().out)
         assert output["status"] == "reloaded"
         assert output["bundle"] == quad
+        assert cli.main(["reload", "--server", base, "--bundle", linear]) == 0
+        output = json.loads(capsys.readouterr().out)
+        assert output["status"] == "reloaded"
+        assert output["bundle"] == linear
 
     def test_promote_argument_validation(self, capsys):
         assert cli.main(["promote"]) == 1
