@@ -64,6 +64,19 @@ class TestSyntheticImages:
         description = data.describe()
         assert description["train_size"] == 30
 
+    def test_describe_config_matches_built_dataset(self):
+        overrides = {"num_classes": 5, "image_size": 8, "train_size": 12, "test_size": 4,
+                     "seed": 9}
+        built = SyntheticImageClassification(**overrides).describe()
+        assert SyntheticImageClassification.describe_config(**overrides) == built
+        assert list(built) == list(SyntheticImageClassification.DESCRIBE_KEYS)
+
+    def test_channel_count_is_configurable(self):
+        data = SyntheticImageClassification(channels=1, image_size=8, train_size=6,
+                                            test_size=2, seed=0)
+        assert data.train_images.shape == (6, 1, 8, 8)
+        assert data.test_images.shape == (2, 1, 8, 8)
+
 
 class TestAugmentation:
     def setup_method(self):

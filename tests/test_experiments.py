@@ -1,12 +1,14 @@
 """Smoke-scale integration tests for every experiment driver (one per table/figure)."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
 from repro.experiments import (
     SCALES,
+    SweepReporter,
     ablation,
     fig4,
     fig5,
@@ -19,6 +21,8 @@ from repro.experiments import (
     table1,
     table2,
 )
+from repro.experiments.runner import ExperimentOutcome
+from repro.parallel import TaskEvent
 
 
 SMOKE = get_scale("smoke")
@@ -59,6 +63,61 @@ class TestReporting:
     def test_relative_change(self):
         assert relative_change(70, 100) == pytest.approx(-0.3)
         assert relative_change(5, 0) == 0.0
+
+    def test_format_table_column_order_and_float_format(self):
+        rows = [{"b": 0.12345, "a": "x", "flag": True}, {"a": "longer", "flag": False}]
+        lines = format_table(rows, columns=["a", "b", "flag"],
+                             float_format="{:.2f}").splitlines()
+        assert lines[0].split() == ["a", "b", "flag"]
+        assert lines[2].split() == ["x", "0.12", "True"]
+        # A missing key renders as an empty cell; columns stay aligned.
+        assert lines[3].split() == ["longer", "False"]
+        assert lines[0].index("b") == lines[2].index("0.12") == len("longer  ")
+
+
+def _outcome(name, cache_hit=False, error=None):
+    return ExperimentOutcome(name=name, scale="smoke", config_hash="0" * 8,
+                             path=f"artifacts/{name}.json", cache_hit=cache_hit,
+                             elapsed_seconds=0.0 if cache_hit else 1.25, artifact={},
+                             error=error)
+
+
+class TestSweepReporter:
+    def test_counts_ran_cached_and_failed(self):
+        reporter = SweepReporter(total=3, stream=io.StringIO())
+        reporter.on_outcome(_outcome("fig4"))
+        reporter.on_outcome(_outcome("fig5", cache_hit=True))
+        reporter.on_outcome(_outcome("fig6", error="boom\ntraceback"))
+        assert [o.name for o in reporter.ran] == ["fig4"]
+        assert [o.name for o in reporter.cached] == ["fig5"]
+        assert [o.name for o in reporter.failed] == ["fig6"]
+        assert "3 experiments | 1 ran | 1 cached | 1 failed" in reporter.summary_line()
+
+    def test_prints_one_line_per_outcome_and_failure_details(self):
+        stream = io.StringIO()
+        reporter = SweepReporter(total=2, stream=stream)
+        reporter.on_outcome(_outcome("fig4"))
+        reporter.on_outcome(_outcome("fig6", error="boom\ntraceback"))
+        reporter.print_summary()
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == "== [1/2] fig4 @ smoke: ran in 1.2s -> artifacts/fig4.json"
+        assert lines[1] == "!! [2/2] fig6 @ smoke: FAILED (boom)"
+        assert lines[2].startswith("sweep: 2 experiments")
+        assert lines[3:] == ["--- fig6 failure ---", "boom", "traceback"]
+
+    def test_quiet_reporter_prints_nothing_but_counts(self):
+        stream = io.StringIO()
+        reporter = SweepReporter(total=1, stream=stream, verbose=False)
+        reporter.on_event(TaskEvent(kind="retrying", key="fig4", attempt=1, error="x"))
+        reporter.on_outcome(_outcome("fig4", cache_hit=True))
+        assert stream.getvalue() == ""
+        assert len(reporter.cached) == 1
+
+    def test_retry_event_is_reported(self):
+        stream = io.StringIO()
+        reporter = SweepReporter(total=1, stream=stream)
+        reporter.on_event(TaskEvent(kind="retrying", key="fig4", attempt=1, error="x"))
+        assert stream.getvalue() == "?? fig4: attempt 1 failed (x); retrying\n"
 
 
 class TestTable1:

@@ -34,6 +34,17 @@ class TestAccuracy:
     def test_accepts_tensor(self):
         assert accuracy(Tensor(np.eye(3)), np.arange(3)) == 1.0
 
+    def test_fractional_accuracy(self):
+        logits = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0], [2.0, 0.0]])
+        assert accuracy(logits, np.array([0, 1, 1, 1])) == pytest.approx(0.5)
+
+    def test_sequence_logits_use_last_axis(self):
+        # (batch, positions, classes): every position is one prediction.
+        logits = np.zeros((2, 3, 4))
+        logits[..., 1] = 1.0
+        targets = np.array([[1, 1, 0], [1, 2, 1]])
+        assert accuracy(logits, targets) == pytest.approx(4 / 6)
+
 
 class TestTokenizers:
     def test_13a_separates_punctuation(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.experiments import get_scale
-from repro.models import CifarResNet, MLPClassifier, ResNet18, SimpleCNN
+from repro.models import BasicBlock, CifarResNet, MLPClassifier, ResNet18, SimpleCNN
 from repro.quadratic import EfficientQuadraticConv2d, KervolutionConv2d
 from repro.tensor import Tensor
 
@@ -26,6 +26,14 @@ class TestCifarResNet:
         depths = get_scale("paper").resnet_depths
         assert depths == (20, 32, 44, 56, 110)
         assert all((depth - 2) % 6 == 0 for depth in depths)
+
+    @pytest.mark.parametrize("depth", get_scale("paper").resnet_depths)
+    def test_paper_depth_builds(self, depth):
+        model = CifarResNet(depth, num_classes=4, base_width=4, seed=0)
+        assert model.depth == depth
+        assert model.num_conv_layers == depth - 1
+        blocks = [module for module in model.modules() if isinstance(module, BasicBlock)]
+        assert len(blocks) == 3 * (depth - 2) // 6
 
     def test_output_shape(self):
         model = CifarResNet(8, num_classes=7, base_width=4, seed=0)

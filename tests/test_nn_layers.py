@@ -153,6 +153,11 @@ class TestActivationsModules:
         x = RNG.standard_normal((3, 4)).astype(np.float64)
         np.testing.assert_allclose(module(Tensor(x)).data, reference(x), rtol=1e-5, atol=1e-6)
 
+    def test_relu_gradient_is_positive_mask(self):
+        x = Tensor(np.array([[-1.5, 0.5], [2.0, -0.25]]), requires_grad=True)
+        nn.ReLU()(x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
+
 
 class TestLosses:
     def test_cross_entropy_uniform_logits(self):
@@ -174,3 +179,54 @@ class TestLosses:
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-5)
         q_gained = nn.init.orthogonal((10, 3), rng, gain=2.0)
         np.testing.assert_allclose(q_gained.T @ q_gained, 4 * np.eye(3), atol=1e-4)
+
+
+class TestInit:
+    # fan_in = 16 * 3 * 3 = 144 for every conv-shaped draw below.
+    SHAPE = (64, 16, 3, 3)
+
+    def test_kaiming_normal_std_scales_with_fan_in(self):
+        weight = nn.init.kaiming_normal(self.SHAPE, np.random.default_rng(0))
+        assert float(weight.std()) == pytest.approx(np.sqrt(2.0 / 144), rel=0.05)
+        assert abs(float(weight.mean())) < 0.01
+
+    def test_kaiming_uniform_bound_and_std(self):
+        weight = nn.init.kaiming_uniform(self.SHAPE, np.random.default_rng(0))
+        bound = np.sqrt(2.0) * np.sqrt(3.0 / 144)
+        assert float(np.abs(weight).max()) <= bound
+        # A uniform draw on [-b, b] has std b / sqrt(3): the same He std.
+        assert float(weight.std()) == pytest.approx(np.sqrt(2.0 / 144), rel=0.05)
+
+    def test_orthogonal_wide_matrix_has_orthonormal_rows(self):
+        q = nn.init.orthogonal((3, 10), np.random.default_rng(0))
+        assert q.shape == (3, 10)
+        np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-5)
+
+    def test_orthogonal_conv_shape_flattens_fan_in(self):
+        q = nn.init.orthogonal((4, 2, 3, 3), np.random.default_rng(0))
+        flat = q.reshape(4, -1)
+        np.testing.assert_allclose(flat @ flat.T, np.eye(4), atol=1e-5)
+
+    def test_normal_and_uniform_use_their_parameters(self):
+        rng = np.random.default_rng(0)
+        drawn = nn.init.normal((20000,), rng, mean=1.0, std=0.5)
+        assert float(drawn.mean()) == pytest.approx(1.0, abs=0.02)
+        assert float(drawn.std()) == pytest.approx(0.5, rel=0.03)
+        spread = nn.init.uniform((20000,), rng, low=2.0, high=3.0)
+        assert 2.0 <= float(spread.min()) and float(spread.max()) < 3.0
+
+    def test_constant_initializers_honour_dtype(self):
+        assert nn.init.zeros((2, 3)).dtype == np.float32
+        np.testing.assert_array_equal(nn.init.ones((2,), dtype=np.float64), [1.0, 1.0])
+        assert nn.init.ones((2,), dtype=np.float64).dtype == np.float64
+
+    @pytest.mark.parametrize("initializer", ["kaiming_normal", "kaiming_uniform",
+                                             "orthogonal", "normal", "uniform"])
+    def test_deterministic_given_generator_seed(self, initializer):
+        draw = getattr(nn.init, initializer)
+        first = draw((6, 5), np.random.default_rng(3))
+        second = draw((6, 5), np.random.default_rng(3))
+        other = draw((6, 5), np.random.default_rng(4))
+        assert first.dtype == np.float32
+        np.testing.assert_array_equal(first, second)
+        assert not np.array_equal(first, other)

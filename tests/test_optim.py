@@ -157,6 +157,22 @@ class TestSchedulers:
         assert peak == 10
         assert factors[0] < factors[9] > factors[-1]
 
+    def test_multistep_sorts_milestones(self):
+        optimizer = self._optimizer()
+        scheduler = MultiStepLR(optimizer, milestones=[4, 2], gamma=0.5)
+        assert scheduler.milestones == [2, 4]
+        assert [scheduler.get_factor(step) for step in (1, 2, 3, 4)] == [1.0, 0.5, 0.5, 0.25]
+
+    def test_noam_peak_value_and_scale(self):
+        optimizer = self._optimizer()
+        scheduler = NoamLR(optimizer, model_dim=64, warmup_steps=16, scale=2.0)
+        # At the end of warmup both branches meet at warmup^-0.5.
+        assert scheduler.get_factor(16) == pytest.approx(2.0 * 64 ** -0.5 * 16 ** -0.5)
+        # Step 0 is clamped to step 1 rather than dividing by zero.
+        assert scheduler.get_factor(0) == scheduler.get_factor(1)
+        scheduler.step()
+        assert optimizer.param_groups[0]["lr"] == pytest.approx(scheduler.get_factor(1))
+
     def test_current_lrs(self):
         optimizer = self._optimizer()
         scheduler = MultiStepLR(optimizer, milestones=[1])

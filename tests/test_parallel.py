@@ -10,12 +10,14 @@ so both the parent and fresh worker interpreters can resolve everything.
 
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro
@@ -35,6 +37,7 @@ from repro.parallel import (
     resolve_callable,
     run_tasks,
 )
+from repro.parallel.seeding import seed_task_globals
 from repro.parallel.worker import DEPTH_ENV
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -229,6 +232,22 @@ class TestSeeding:
 
     def test_component_order_matters(self):
         assert derive_seed(0, "a", "b") != derive_seed(0, "b", "a")
+
+    def test_bits_bound_the_seed(self):
+        assert 0 <= derive_seed(0, "fig4", bits=16) < 2 ** 16
+        wide = derive_seed(0, "fig4", bits=64)
+        assert 0 <= wide < 2 ** 64
+        # The narrower seed is the leading bytes of the same digest.
+        assert wide >> 48 == derive_seed(0, "fig4", bits=16)
+
+    def test_seed_task_globals_resets_global_streams(self):
+        seed_task_globals(derive_seed(0, "task"))
+        first = (random.random(), np.random.random())
+        random.random(), np.random.random()
+        seed_task_globals(derive_seed(0, "task"))
+        assert (random.random(), np.random.random()) == first
+        seed_task_globals(derive_seed(0, "other"))
+        assert (random.random(), np.random.random()) != first
 
 
 class TestResolveCallable:
