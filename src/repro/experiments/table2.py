@@ -75,7 +75,7 @@ def train_translation_model(model: Transformer, task: SyntheticTranslationTask,
     groups = split_parameter_groups(model, base_lr=base_lr, quadratic_lr=quadratic_lr)
     optimizer = Adam(groups, lr=base_lr)
     loss_fn = LabelSmoothingLoss(smoothing=0.1, ignore_index=task.pad_id)
-    trainer = Seq2SeqTrainer(model, optimizer, loss_fn, grad_clip=1.0, seed=scale.seed)
+    trainer = Seq2SeqTrainer(model, optimizer, loss_fn, seed=scale.seed)
     trainer.fit(task, epochs=scale.translation_epochs,
                 batch_size=scale.translation_batch_size)
     return trainer

@@ -11,9 +11,7 @@ from .bleu import (
 from .profiler import (
     LayerProfile,
     ModelProfile,
-    OpTimeTable,
     profile_model,
-    record_op_times,
 )
 
 __all__ = [
@@ -25,7 +23,5 @@ __all__ = [
     "EVALUATION_SETTINGS",
     "LayerProfile",
     "ModelProfile",
-    "OpTimeTable",
     "profile_model",
-    "record_op_times",
 ]

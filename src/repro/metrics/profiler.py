@@ -1,4 +1,4 @@
-"""Whole-model parameter and MAC profiler, plus per-op wall-time profiling.
+"""Whole-model parameter and MAC profiler.
 
 The Fig. 4 / Fig. 5 sweeps plot accuracy against the number of parameters and
 the number of multiply-accumulate operations (MACs, reported by the paper as
@@ -13,25 +13,17 @@ exact and consistent with :mod:`repro.quadratic.complexity`.
 As in the paper, only the neuron layers (convolutions and dense projections)
 are counted; normalization, activation, pooling and embedding costs are
 ignored.
-
-:func:`record_op_times` is the wall-time counterpart: it subscribes to the
-graph executor's timing hooks (:func:`repro.tensor.engine.add_op_timing_hook`)
-and aggregates the measured seconds per registered op — forward passes under
-the op name, backward passes under ``"<name>:backward"``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..nn.module import Module
 from ..quadratic.complexity import neuron_complexity
 from ..tensor import no_grad
-from ..tensor import engine as tensor_engine
 
-__all__ = ["LayerProfile", "ModelProfile", "profile_model",
-           "OpTimeTable", "record_op_times"]
+__all__ = ["LayerProfile", "ModelProfile", "profile_model"]
 
 
 @dataclass
@@ -154,63 +146,3 @@ def profile_model(model: Module, *example_inputs, forward_fn=None) -> ModelProfi
         profile.total_macs += macs
     profile.total_parameters = model.num_parameters()
     return profile
-
-
-# ---------------------------------------------------------------------------
-# Per-op wall-time profiling (fed by the graph executor's timing hooks)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OpTimeTable:
-    """Aggregated wall time per autograd op.
-
-    Keys are op names as emitted by the executor: plain names for forward
-    passes (``"matmul"``) and ``"<name>:backward"`` for VJP executions.
-    """
-
-    total_seconds: dict = field(default_factory=dict)
-    calls: dict = field(default_factory=dict)
-
-    def record(self, op_name: str, seconds: float) -> None:
-        self.total_seconds[op_name] = self.total_seconds.get(op_name, 0.0) + seconds
-        self.calls[op_name] = self.calls.get(op_name, 0) + 1
-
-    @property
-    def grand_total(self) -> float:
-        return sum(self.total_seconds.values())
-
-    def as_rows(self, sort_by_time: bool = True) -> list[dict]:
-        names = sorted(self.total_seconds,
-                       key=(lambda n: -self.total_seconds[n]) if sort_by_time else None)
-        return [{
-            "op": name,
-            "seconds": self.total_seconds[name],
-            "calls": self.calls[name],
-            "mean_microseconds": 1e6 * self.total_seconds[name] / max(self.calls[name], 1),
-        } for name in names]
-
-    def summary(self, top: int = 10) -> str:
-        lines = [f"{'op':<28s} {'calls':>7s} {'total ms':>10s} {'mean us':>9s}"]
-        for row in self.as_rows()[:top]:
-            lines.append(f"{row['op']:<28s} {row['calls']:>7d} "
-                         f"{1e3 * row['seconds']:>10.3f} {row['mean_microseconds']:>9.1f}")
-        return "\n".join(lines)
-
-
-@contextmanager
-def record_op_times():
-    """Context manager that times every op executed inside the block.
-
-    Yields an :class:`OpTimeTable`; the executor's timing hook is removed
-    again on exit, so the zero-overhead fast path is restored.
-
-    >>> with record_op_times() as table:
-    ...     loss = model(batch); loss.backward()
-    >>> print(table.summary())
-    """
-    table = OpTimeTable()
-    tensor_engine.add_op_timing_hook(table.record)
-    try:
-        yield table
-    finally:
-        tensor_engine.remove_op_timing_hook(table.record)

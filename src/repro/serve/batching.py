@@ -66,6 +66,11 @@ DEFAULT_MAX_WAIT_MS = 0.5
 #: Queue sentinel telling the scheduler thread to exit.
 _SHUTDOWN = object()
 
+#: What a request fails with when the engine closes before it ran.
+_CLOSED_WHILE_QUEUED = ("serving engine closed while the request was still "
+                       "queued; the server is shutting down — retry against a "
+                       "live server")
+
 
 class _Request:
     """One queued unit of work: validated inputs plus the caller's future."""
@@ -92,21 +97,6 @@ def _request_groups(requests: list[_Request]):
     return groups.values()
 
 
-def _fuse(group: list[_Request]) -> np.ndarray:
-    """Concatenate a geometry group's rows into one forward-ready array."""
-    if len(group) == 1:
-        return group[0].inputs
-    return np.concatenate([request.inputs for request in group], axis=0)
-
-
-def _demux(group: list[_Request], outputs: np.ndarray) -> None:
-    """Slice fused outputs back onto the per-request futures by row offset."""
-    offset = 0
-    for request in group:
-        request.future.set_result(outputs[offset:offset + request.rows])
-        offset += request.rows
-
-
 class QueuedEngine(ServingEngine):
     """Bounded queue + scheduler thread + coalescing policy, backend-agnostic.
 
@@ -117,7 +107,8 @@ class QueuedEngine(ServingEngine):
     ``batches``/``mean_batch_rows``/``queue_depth`` — every queued engine
     reports these under the same key names, which ARCHITECTURE.md documents
     and the tests pin).  Subclasses own *executing* a coalesced batch by
-    implementing :meth:`_handle_batch`:
+    implementing :meth:`_handle_batch`; the one-shot engines below run it
+    through :meth:`_execute`, each with its own forward:
 
     * :class:`BatchedEngine` runs it inline on the scheduler thread — one
       fused forward through the shared session.
@@ -297,6 +288,32 @@ class QueuedEngine(ServingEngine):
         """Execute one coalesced batch; every future in it must resolve."""
         raise NotImplementedError
 
+    def _execute(self, batch: list[_Request], forward) -> None:
+        """Run ``batch`` as one ``forward(fused_rows)`` call per geometry group.
+
+        Cancelled requests are dropped; each group's rows are concatenated,
+        forwarded, and the outputs sliced back onto the per-request futures
+        by row offset.  A group whose forward raises fails only its own
+        futures.
+        """
+        live = [request for request in batch
+                if request.future.set_running_or_notify_cancel()]
+        for group in _request_groups(live):
+            try:
+                fused = (group[0].inputs if len(group) == 1 else
+                         np.concatenate([request.inputs for request in group]))
+                outputs = forward(fused)
+                offset = 0
+                for request in group:
+                    request.future.set_result(outputs[offset:offset + request.rows])
+                    offset += request.rows
+            except BaseException as error:  # noqa: BLE001 — delivered per future
+                self._fail_batch(group, error)
+                continue
+            with self._stats_lock:
+                self.batches += 1
+                self.samples += len(fused)
+
     # -- failure delivery ------------------------------------------------------
 
     @staticmethod
@@ -320,10 +337,7 @@ class QueuedEngine(ServingEngine):
         if item is _SHUTDOWN:
             return
         if item.future.set_running_or_notify_cancel():
-            item.future.set_exception(EngineClosed(
-                "serving engine closed while the request was still "
-                "queued; the server is shutting down — retry against a "
-                "live server"))
+            item.future.set_exception(EngineClosed(_CLOSED_WHILE_QUEUED))
 
     def _fail_pending(self) -> None:
         """Fail every still-queued request with a clear shutdown error.
@@ -418,20 +432,4 @@ class BatchedEngine(QueuedEngine):
             self._fail_batch(batch, error)
 
     def _run_batch(self, batch: list[_Request]) -> None:
-        live = [request for request in batch
-                if request.future.set_running_or_notify_cancel()]
-        if not live:
-            return
-        # Group by per-sample shape/dtype: one fused forward per geometry
-        # (a single-model queue normally holds exactly one group).
-        for group in _request_groups(live):
-            try:
-                fused = _fuse(group)
-                outputs = self.session.predict(fused)
-                _demux(group, outputs)
-            except BaseException as error:  # noqa: BLE001 — delivered per future
-                self._fail_batch(group, error)
-                continue
-            with self._stats_lock:
-                self.batches += 1
-                self.samples += len(fused)
+        self._execute(batch, self.session.predict)

@@ -199,11 +199,9 @@ def check_engine_name(engine, context: str | None = None) -> None:
                      f"engines: {valid}, or a ServingEngine instance")
 
 
-def make_engine(engine, session, max_batch: int | None = None,
-                max_wait_ms: float | None = None,
+def make_engine(engine, session, max_wait_ms: float | None = None,
                 queue_size: int | None = None,
-                workers: int | None = None,
-                seed: int | None = None) -> ServingEngine:
+                workers: int | None = None) -> ServingEngine:
     """Resolve an ``engine=`` knob into a live :class:`ServingEngine`.
 
     ``engine`` may be a ready-made :class:`ServingEngine` instance (returned
@@ -212,19 +210,18 @@ def make_engine(engine, session, max_batch: int | None = None,
     :class:`~repro.serve.pool.ProcessPoolEngine` (the session must come from
     an on-disk bundle — workers re-load it by path).  The tuning kwargs only
     apply to the queued engines and fall back to their defaults when
-    ``None``; ``workers``/``seed`` only apply to the pool.
+    ``None``; ``workers`` only applies to the pool.
     """
     check_engine_name(engine)
     if isinstance(engine, ServingEngine):
         return engine
     if engine is None or engine == "direct":
         return DirectEngine(session)
-    kwargs = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-              "queue_size": queue_size}
+    kwargs = {"max_wait_ms": max_wait_ms, "queue_size": queue_size}
     if engine == "pool":
         from .pool import ProcessPoolEngine
 
-        kwargs.update(workers=workers, seed=seed)
+        kwargs["workers"] = workers
         cls = ProcessPoolEngine
     else:
         from .batching import BatchedEngine

@@ -46,8 +46,7 @@ import threading
 
 from ..parallel.executor import parallel_depth
 from ..parallel.fleet import WorkerFleet, serve_worker
-from .batching import (DEFAULT_MAX_WAIT_MS, QueuedEngine, _demux, _fuse,
-                       _request_groups)
+from .batching import DEFAULT_MAX_WAIT_MS, QueuedEngine, _CLOSED_WHILE_QUEUED
 from .engine import EngineClosed, EngineError
 
 __all__ = ["ProcessPoolEngine", "worker_main"]
@@ -93,12 +92,6 @@ def _predict(session, inputs):
 def _warm(session, input_shape):
     session.warm(input_shape)
     return None, _session_stats(session)
-
-
-def _closed_while_queued() -> EngineClosed:
-    return EngineClosed(
-        "serving engine closed while the request was still queued; the "
-        "server is shutting down — retry against a live server")
 
 
 class ProcessPoolEngine(QueuedEngine, WorkerFleet):
@@ -184,13 +177,14 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
         """
         while not self._slots_free.acquire(timeout=0.05):
             if self._closed:
-                self._fail_batch(batch, _closed_while_queued())
+                self._fail_batch(batch, EngineClosed(_CLOSED_WHILE_QUEUED))
                 return
 
         def finished(job) -> None:
             self._slots_free.release()
             # Cancelled: the fleet stopped before a worker took the batch.
-            error = _closed_while_queued() if job.cancelled() else job.exception()
+            error = (EngineClosed(_CLOSED_WHILE_QUEUED) if job.cancelled()
+                     else job.exception())
             if error is not None:
                 self._fail_batch(batch, error)
 
@@ -204,19 +198,11 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
         fleet; a model error raises ``RuntimeError`` with the worker
         traceback for these futures only.
         """
-        live = [request for request in shard
-                if request.future.set_running_or_notify_cancel()]
-        for group in _request_groups(live):
-            try:
-                fused = _fuse(group)
-                outputs, worker.last_stats = self._call(worker, ("predict", fused))
-                _demux(group, outputs)
-            except BaseException as error:  # noqa: BLE001 — delivered per future
-                self._fail_batch(group, error)
-                continue
-            with self._stats_lock:
-                self.batches += 1
-                self.samples += len(fused)
+        def forward(fused):
+            outputs, worker.last_stats = self._call(worker, ("predict", fused))
+            return outputs
+
+        self._execute(shard, forward)
 
     # -- warmup ----------------------------------------------------------------
 

@@ -13,8 +13,8 @@ This module owns everything that happens *between* op definitions
   that decides whether ``apply_op`` records graph structure at all.
 * Per-op timing hooks: :func:`add_op_timing_hook` registers a callable
   ``hook(op_name, seconds)`` invoked for every forward (``"matmul"``) and
-  backward (``"matmul:backward"``) execution.  The aggregation side lives in
-  :mod:`repro.metrics.profiler`.
+  backward (``"matmul:backward"``) execution; each subscriber aggregates
+  what it receives.
 
 Gradient accumulation strategy
 ------------------------------

@@ -49,7 +49,6 @@ from functools import partial
 
 import numpy as np
 
-from ..data.dataloader import DataLoader
 from ..nn.module import Module
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
@@ -121,12 +120,9 @@ class DataParallelTrainer(Trainer, WorkerFleet):
     fleet_error = closed_error = remote_error = DistributedTrainingError
 
     def __init__(self, model: Module, optimizer: Optimizer, loss_fn,
-                 scheduler: LRScheduler | None = None, grad_clip: float | None = None,
-                 divergence_threshold: float = 1e4, *, world_size: int = 2,
+                 scheduler: LRScheduler | None = None, *, world_size: int = 2,
                  workers: int | None = None, seed: int = 0):
-        super().__init__(model, optimizer, loss_fn, scheduler=scheduler,
-                         grad_clip=grad_clip,
-                         divergence_threshold=divergence_threshold)
+        super().__init__(model, optimizer, loss_fn, scheduler=scheduler)
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         WorkerFleet.__init__(self)
@@ -187,7 +183,10 @@ class DataParallelTrainer(Trainer, WorkerFleet):
 
         Identical reduction code runs over the shard results regardless of
         how they were computed (inline or remote), which is what makes the
-        worker count numerically invisible.
+        worker count numerically invisible.  Per-row argmax is row-local, so
+        the concatenated shard predictions equal the full-batch argmax
+        exactly — training accuracy matches the plain Trainer's bitwise even
+        though the loss normalization differs.
         """
         if self.world_size == 1:
             return super()._optimize_batch(batch_inputs, batch_targets)
@@ -228,21 +227,8 @@ class DataParallelTrainer(Trainer, WorkerFleet):
                 accumulated += result["grads"][index]
             parameter.grad = accumulated / accumulated.dtype.type(weight)
 
-        if self.grad_clip is not None:
-            self.optimizer.clip_grad_norm(self.grad_clip)
         self.optimizer.step()
         return loss_value, predictions, True
-
-    def _batch_accuracy(self, logits, batch_targets) -> float:
-        """Accuracy from the rank-ordered predictions the sharded step returns.
-
-        Per-row argmax is row-local, so the concatenated shard predictions
-        equal the full-batch argmax exactly — training accuracy matches the
-        plain Trainer's bitwise even though the loss normalization differs.
-        """
-        if self.world_size == 1:
-            return super()._batch_accuracy(logits, batch_targets)
-        return float((logits == np.asarray(batch_targets)).mean())
 
     def _compute_shards_inline(self, batch_inputs, batch_targets, bounds) -> list:
         """Run every shard sequentially on the parent's own model.

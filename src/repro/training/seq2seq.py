@@ -1,8 +1,9 @@
 """Training loop for the translation Transformers (Table II).
 
 Teacher-forced cross-entropy with label smoothing and padding masking, Adam
-with the Noam warmup schedule, and BLEU evaluation through greedy decoding —
-the same recipe as the paper's Transformer experiments, scaled down.
+with gradient-norm clipping at 1.0 (plus an optional per-step learning-rate
+schedule such as :class:`~repro.optim.NoamLR`), and BLEU evaluation through
+greedy decoding — the Table II recipe, scaled down.
 """
 
 from __future__ import annotations
@@ -12,29 +13,31 @@ import math
 import numpy as np
 
 from ..data.translation import SyntheticTranslationTask
-from ..data.vocabulary import PAD_ID
 from ..metrics.bleu import bleu_score, EVALUATION_SETTINGS
 from ..models.transformer import Transformer
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
-from ..tensor import no_grad
 from .history import History
+from .trainer import DIVERGENCE_THRESHOLD
 
 __all__ = ["Seq2SeqTrainer"]
 
 
 class Seq2SeqTrainer:
-    """Trainer for encoder–decoder translation models."""
+    """Trainer for encoder–decoder translation models.
+
+    ``scheduler`` (optional) is stepped once per optimization step; the
+    training-order shuffle draws from ``seed``.
+    """
+
+    divergence_threshold = DIVERGENCE_THRESHOLD
 
     def __init__(self, model: Transformer, optimizer: Optimizer, loss_fn,
-                 scheduler: LRScheduler | None = None, grad_clip: float | None = 1.0,
-                 divergence_threshold: float = 1e4, seed: int = 0):
+                 scheduler: LRScheduler | None = None, seed: int = 0):
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn
         self.scheduler = scheduler
-        self.grad_clip = grad_clip
-        self.divergence_threshold = divergence_threshold
         self.history = History()
         self.diverged = False
         self.rng = np.random.default_rng(seed)
@@ -56,29 +59,13 @@ class Seq2SeqTrainer:
                 self.diverged = True
                 break
             loss.backward()
-            if self.grad_clip is not None:
-                self.optimizer.clip_grad_norm(self.grad_clip)
+            self.optimizer.clip_grad_norm(1.0)
             self.optimizer.step()
             if self.scheduler is not None:
                 self.scheduler.step()
             total_loss += loss_value
             total_batches += 1
         return {"loss": total_loss / max(total_batches, 1), "diverged": self.diverged}
-
-    def evaluate_loss(self, source_ids: np.ndarray, decoder_inputs: np.ndarray,
-                      decoder_targets: np.ndarray, batch_size: int = 32) -> float:
-        """Teacher-forced loss on held-out data."""
-        self.model.eval()
-        total_loss = 0.0
-        total_batches = 0
-        with no_grad():
-            for start in range(0, len(source_ids), batch_size):
-                stop = start + batch_size
-                logits = self.model(source_ids[start:stop], decoder_inputs[start:stop])
-                loss = self.loss_fn(logits, decoder_targets[start:stop])
-                total_loss += float(loss.data)
-                total_batches += 1
-        return total_loss / max(total_batches, 1)
 
     def evaluate_bleu(self, task: SyntheticTranslationTask, batch_size: int = 32,
                       max_len: int | None = None,
@@ -115,25 +102,14 @@ class Seq2SeqTrainer:
         scores["hypotheses"] = hypotheses
         return scores
 
-    def fit(self, task: SyntheticTranslationTask, epochs: int, batch_size: int = 32,
-            evaluate_every: int = 0, verbose: bool = False) -> History:
-        """Train on the task's training split; optionally track test loss/BLEU."""
+    def fit(self, task: SyntheticTranslationTask, epochs: int,
+            batch_size: int = 32) -> History:
+        """Train on the task's training split, recording the loss per epoch."""
         source_ids, decoder_inputs, decoder_targets = task.training_arrays()
-        test_source, test_inputs, test_targets = task.test_arrays()
         for epoch in range(1, epochs + 1):
             metrics = self.train_epoch(source_ids, decoder_inputs, decoder_targets, batch_size)
-            record = {"epoch": epoch, "train_loss": metrics["loss"], "diverged": self.diverged}
-            if evaluate_every and epoch % evaluate_every == 0 and not self.diverged:
-                record["test_loss"] = self.evaluate_loss(test_source, test_inputs, test_targets,
-                                                         batch_size)
-                bleu = self.evaluate_bleu(task, batch_size)
-                record["bleu_13a_cased"] = bleu[("13a", True)]
-            self.history.append(**record)
-            if verbose:
-                printable = {key: value for key, value in record.items()
-                             if isinstance(value, float)}
-                print(f"epoch {epoch:3d}  " +
-                      "  ".join(f"{key}={value:.4f}" for key, value in printable.items()))
+            self.history.append(epoch=epoch, train_loss=metrics["loss"],
+                                diverged=self.diverged)
             if self.diverged:
                 break
         return self.history

@@ -2,9 +2,9 @@
 
 The trainer reproduces the relevant aspects of the paper's recipe: SGD with a
 multi-step learning-rate schedule, a separate learning rate for the quadratic
-eigenvalue parameters (handled through optimizer parameter groups), optional
-gradient clipping, and divergence detection — the latter is what the Fig. 6
-training-stability study measures.
+eigenvalue parameters (handled through optimizer parameter groups), and
+divergence detection — the latter is what the Fig. 6 training-stability study
+measures.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from .history import History
 
 __all__ = ["Trainer"]
 
+#: A batch loss above this value (or any non-finite loss) marks a run as
+#: diverged — the "cross mark" criterion of Fig. 6.
+DIVERGENCE_THRESHOLD = 1e4
+
 
 def _atomic_copy(source: Path, destination: Path) -> None:
     """Publish a byte copy of ``source`` at ``destination`` atomically."""
@@ -45,29 +49,25 @@ class Trainer:
         scalar :class:`Tensor`.
     scheduler:
         Optional :class:`repro.optim.LRScheduler`, stepped once per epoch.
-    grad_clip:
-        Optional global gradient-norm clip.
-    divergence_threshold:
-        A batch loss above this value (or any non-finite loss) marks the run
-        as diverged; training stops early and the history records the event.
-        This implements the "cross mark" divergence criterion of Fig. 6.
+
+    A batch loss above :attr:`divergence_threshold` (or any non-finite loss)
+    marks the run as diverged: that batch applies no update, and the history
+    records the event.
     """
 
+    divergence_threshold = DIVERGENCE_THRESHOLD
+
     def __init__(self, model: Module, optimizer: Optimizer, loss_fn,
-                 scheduler: LRScheduler | None = None, grad_clip: float | None = None,
-                 divergence_threshold: float = 1e4):
+                 scheduler: LRScheduler | None = None):
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn
         self.scheduler = scheduler
-        self.grad_clip = grad_clip
-        self.divergence_threshold = divergence_threshold
         self.history = History()
         self.diverged = False
         self.divergence_epoch: int | None = None
         self.best_metric: float | None = None
         self.best_epoch: int | None = None
-        self.stopped_early = False
         #: Optimization steps taken across the whole run (survives resume).
         self.global_step = 0
         # Step-granular checkpointing, armed by fit(checkpoint_every_steps=).
@@ -83,31 +83,22 @@ class Trainer:
     # -- single step / epoch ----------------------------------------------------
 
     def _optimize_batch(self, batch_inputs, batch_targets):
-        """One optimization step: forward, divergence guard, backward, clip, step.
+        """One optimization step: forward, divergence guard, backward, step.
 
-        Returns ``(loss_value, logits, stepped)``; ``stepped`` is ``False``
-        when the loss diverged, in which case no parameter update is applied.
+        Returns ``(loss_value, predictions, stepped)``: ``predictions`` is the
+        per-row argmax of the logits, and ``stepped`` is ``False`` when the
+        loss diverged, in which case no parameter update is applied.
         """
         self.optimizer.zero_grad()
         logits = self.model(Tensor(batch_inputs))
         loss = self.loss_fn(logits, batch_targets)
         loss_value = float(loss.data)
+        predictions = logits.data.argmax(axis=-1)
         if not math.isfinite(loss_value) or loss_value > self.divergence_threshold:
-            return loss_value, logits, False
+            return loss_value, predictions, False
         loss.backward()
-        if self.grad_clip is not None:
-            self.optimizer.clip_grad_norm(self.grad_clip)
         self.optimizer.step()
-        return loss_value, logits, True
-
-    def _batch_accuracy(self, logits, batch_targets) -> float:
-        """Per-batch training accuracy from whatever :meth:`_optimize_batch` returned.
-
-        Subclasses that do not carry full-batch logits through the step (the
-        data-parallel trainer returns rank-ordered predictions instead)
-        override this alongside :meth:`_optimize_batch`.
-        """
-        return accuracy(logits, batch_targets)
+        return loss_value, predictions, True
 
     def train_epoch(self, loader: DataLoader, *, epoch: int | None = None,
                     start_totals: dict | None = None) -> dict:
@@ -124,7 +115,7 @@ class Trainer:
         if start_totals:
             totals.update(start_totals)
         for batch_inputs, batch_targets in loader:
-            loss_value, logits, stepped = self._optimize_batch(batch_inputs, batch_targets)
+            loss_value, predictions, stepped = self._optimize_batch(batch_inputs, batch_targets)
             if not stepped:
                 self.diverged = True
                 totals["loss"] += loss_value if math.isfinite(loss_value) else float("inf")
@@ -132,7 +123,8 @@ class Trainer:
                 break
             batch_size = len(batch_targets)
             totals["loss"] += loss_value * batch_size
-            totals["correct"] += self._batch_accuracy(logits, batch_targets) * batch_size
+            batch_accuracy = float((predictions == np.asarray(batch_targets)).mean())
+            totals["correct"] += batch_accuracy * batch_size
             totals["examples"] += batch_size
             totals["batches"] += 1
             self.global_step += 1
@@ -166,31 +158,6 @@ class Trainer:
                    "partial": dict(totals)})
         _atomic_copy(last, self._step_checkpoint_dir
                      / f"step_{self.global_step:06d}.npz")
-
-    # -- profiling ----------------------------------------------------------------
-
-    def profile_ops(self, loader: DataLoader, num_batches: int = 1):
-        """Time every autograd op over a few full training steps.
-
-        Runs ``num_batches`` optimization steps — through the same
-        :meth:`_optimize_batch` path as :meth:`train_epoch`, so gradient
-        clipping and the divergence guard still apply — with the graph
-        executor's per-op timing hooks enabled, and returns the aggregated
-        :class:`repro.metrics.OpTimeTable` (forward entries under the op
-        name, backward entries under ``"<name>:backward"``).  Useful for
-        spotting which kernels dominate a model's step time.
-        """
-        from ..metrics.profiler import record_op_times
-
-        self.model.train()
-        with record_op_times() as table:
-            for index, (batch_inputs, batch_targets) in enumerate(loader):
-                if index >= num_batches:
-                    break
-                _, _, stepped = self._optimize_batch(batch_inputs, batch_targets)
-                if not stepped:
-                    break
-        return table
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -294,16 +261,18 @@ class Trainer:
             stop_on_divergence: bool = True, verbose: bool = False,
             checkpoint_dir: str | Path | None = None, checkpoint_every: int = 0,
             checkpoint_every_steps: int = 0,
-            resume_from: str | Path | None = None, monitor: str | None = None,
-            monitor_mode: str | None = None, early_stopping_patience: int | None = None,
-            min_delta: float = 0.0) -> History:
+            resume_from: str | Path | None = None) -> History:
         """Train for ``epochs`` epochs, recording train/eval metrics per epoch.
+
+        The best epoch is the one with the highest ``eval_accuracy`` when eval
+        data is given, else the lowest ``train_loss``; it is recorded in
+        :attr:`best_metric`/:attr:`best_epoch`.
 
         Checkpoint/resume
         -----------------
         With ``checkpoint_dir`` set, ``checkpoint_every`` > 0 writes
         ``epoch_<k>.npz`` plus a rolling ``last.npz`` every N epochs, and the
-        best epoch under the monitored metric is saved as ``best.npz``.
+        best epoch is saved as ``best.npz``.
         ``checkpoint_every_steps`` > 0 additionally writes ``step_<k>.npz``
         plus a rolling ``last_step.npz`` every N optimization steps, carrying
         ``(epoch, batch_index)``, the loader's mid-epoch cursor and the
@@ -314,18 +283,9 @@ class Trainer:
         history and final checkpoints *bit-identically* (a ``kill -9`` at any
         step loses at most ``checkpoint_every_steps`` batches of work and
         zero reproducibility).
-
-        Best tracking / early stopping
-        ------------------------------
-        ``monitor`` names the history key to track (default: ``eval_accuracy``
-        when eval data is given, else ``train_loss``); ``monitor_mode`` is
-        ``"max"`` or ``"min"`` (inferred from the name by default).  With
-        ``early_stopping_patience`` set, training stops after that many epochs
-        without an improvement larger than ``min_delta``.
         """
         if checkpoint_every_steps and checkpoint_dir is None:
             raise ValueError("checkpoint_every_steps requires checkpoint_dir")
-        self.stopped_early = False
         start_epoch = 0
         pending = None
         if resume_from is not None:
@@ -339,9 +299,7 @@ class Trainer:
             self.best_epoch = None
             self.global_step = 0
         has_eval = eval_inputs is not None and eval_targets is not None
-        if monitor is None:
-            monitor = "eval_accuracy" if has_eval else "train_loss"
-        mode = monitor_mode or ("min" if monitor.endswith("loss") else "max")
+        monitor = "eval_accuracy" if has_eval else "train_loss"
         if checkpoint_dir is not None:
             checkpoint_dir = Path(checkpoint_dir)
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -350,73 +308,58 @@ class Trainer:
             self._step_checkpoint_every = int(checkpoint_every_steps)
 
         try:
-            return self._fit_loop(train_loader, epochs, start_epoch, pending,
-                                  eval_inputs, eval_targets, has_eval,
-                                  stop_on_divergence, verbose, checkpoint_dir,
-                                  checkpoint_every, monitor, mode,
-                                  early_stopping_patience, min_delta)
+            for epoch in range(start_epoch + 1, epochs + 1):
+                start_totals = None
+                if pending is not None and pending["epoch"] == epoch:
+                    start_totals = pending["totals"]
+                    pending = None
+                train_metrics = self.train_epoch(train_loader, epoch=epoch,
+                                                 start_totals=start_totals)
+                record = {
+                    "epoch": epoch,
+                    "train_loss": train_metrics["loss"],
+                    "train_accuracy": train_metrics["accuracy"],
+                    "diverged": self.diverged,
+                    "lr": self.optimizer.param_groups[0]["lr"],
+                }
+                if self.diverged and self.divergence_epoch is None:
+                    self.divergence_epoch = epoch
+                if has_eval and not self.diverged:
+                    eval_metrics = self.evaluate(eval_inputs, eval_targets)
+                    record["eval_loss"] = eval_metrics["loss"]
+                    record["eval_accuracy"] = eval_metrics["accuracy"]
+                self.history.append(**record)
+                if verbose:
+                    print(f"epoch {epoch:3d}  " +
+                          "  ".join(f"{key}={value:.4f}" for key, value in record.items()
+                                    if isinstance(value, float)))
+                if self.scheduler is not None:
+                    self.scheduler.step()
+
+                value = record.get(monitor)
+                if value is not None and math.isfinite(value) and \
+                        self._improved(value, maximize=has_eval):
+                    self.best_metric = float(value)
+                    self.best_epoch = epoch
+                    if checkpoint_dir is not None:
+                        self.save_checkpoint(checkpoint_dir / "best.npz",
+                                             train_loader, epoch)
+                if checkpoint_dir is not None and checkpoint_every and \
+                        epoch % checkpoint_every == 0:
+                    # Rolling file first, numbered byte copy second (no second
+                    # serialization), as for the step checkpoints above.
+                    last = self.save_checkpoint(checkpoint_dir / "last.npz",
+                                                train_loader, epoch)
+                    _atomic_copy(last, checkpoint_dir / f"epoch_{epoch:04d}.npz")
+
+                if self.diverged and stop_on_divergence:
+                    break
+            return self.history
         finally:
             self._step_checkpoint_dir = None
             self._step_checkpoint_every = 0
 
-    def _fit_loop(self, train_loader, epochs, start_epoch, pending,
-                  eval_inputs, eval_targets, has_eval, stop_on_divergence,
-                  verbose, checkpoint_dir, checkpoint_every, monitor, mode,
-                  early_stopping_patience, min_delta) -> History:
-        for epoch in range(start_epoch + 1, epochs + 1):
-            start_totals = None
-            if pending is not None and pending["epoch"] == epoch:
-                start_totals = pending["totals"]
-                pending = None
-            train_metrics = self.train_epoch(train_loader, epoch=epoch,
-                                             start_totals=start_totals)
-            record = {
-                "epoch": epoch,
-                "train_loss": train_metrics["loss"],
-                "train_accuracy": train_metrics["accuracy"],
-                "diverged": self.diverged,
-                "lr": self.optimizer.param_groups[0]["lr"],
-            }
-            if self.diverged and self.divergence_epoch is None:
-                self.divergence_epoch = epoch
-            if has_eval and not self.diverged:
-                eval_metrics = self.evaluate(eval_inputs, eval_targets)
-                record["eval_loss"] = eval_metrics["loss"]
-                record["eval_accuracy"] = eval_metrics["accuracy"]
-            self.history.append(**record)
-            if verbose:
-                print(f"epoch {epoch:3d}  " +
-                      "  ".join(f"{key}={value:.4f}" for key, value in record.items()
-                                if isinstance(value, float)))
-            if self.scheduler is not None:
-                self.scheduler.step()
-
-            value = record.get(monitor)
-            if value is not None and math.isfinite(value) and \
-                    self._improved(value, mode, min_delta):
-                self.best_metric = float(value)
-                self.best_epoch = epoch
-                if checkpoint_dir is not None:
-                    self.save_checkpoint(checkpoint_dir / "best.npz", train_loader, epoch)
-            if checkpoint_dir is not None and checkpoint_every and \
-                    epoch % checkpoint_every == 0:
-                # Rolling file first, numbered byte copy second (no second
-                # serialization), as for the step checkpoints above.
-                last = self.save_checkpoint(checkpoint_dir / "last.npz",
-                                            train_loader, epoch)
-                _atomic_copy(last, checkpoint_dir / f"epoch_{epoch:04d}.npz")
-
-            if self.diverged and stop_on_divergence:
-                break
-            if early_stopping_patience is not None and self.best_epoch is not None \
-                    and epoch - self.best_epoch >= early_stopping_patience:
-                self.stopped_early = True
-                break
-        return self.history
-
-    def _improved(self, value: float, mode: str, min_delta: float) -> bool:
+    def _improved(self, value: float, maximize: bool) -> bool:
         if self.best_metric is None:
             return True
-        if mode == "min":
-            return value < self.best_metric - min_delta
-        return value > self.best_metric + min_delta
+        return value > self.best_metric if maximize else value < self.best_metric
