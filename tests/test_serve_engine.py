@@ -404,6 +404,60 @@ class TestBatchedEngine:
             engine.stats()
 
 
+class TestExecuteLoop:
+    """``QueuedEngine._execute``: the one group/fuse/forward/demux loop that
+    both one-shot queued engines run, each with its own forward."""
+
+    @staticmethod
+    def _requests(*arrays):
+        from repro.serve.batching import _Request
+
+        return [_Request(np.asarray(array, dtype=np.float32)) for array in arrays]
+
+    def test_one_forward_per_geometry_group_demuxed_by_rows(self):
+        engine = BatchedEngine(InferenceSession(Doubler(), strict_no_graph=False),
+                               autostart=False)
+        calls = []
+
+        def forward(fused):
+            calls.append(fused.shape)
+            return fused * 3
+
+        batch = self._requests(np.ones((2, 2)), np.full((1, 4), 2.0),
+                               np.full((3, 2), 5.0))
+        engine._execute(batch, forward)
+        assert sorted(calls) == [(1, 4), (5, 2)]
+        np.testing.assert_array_equal(batch[0].future.result(0), np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(batch[1].future.result(0), np.full((1, 4), 6.0))
+        np.testing.assert_array_equal(batch[2].future.result(0), np.full((3, 2), 15.0))
+        stats = engine.stats()
+        assert stats["batches"] == 2 and stats["samples"] == 6
+        engine.close()
+
+    def test_failing_group_fails_only_its_own_futures(self):
+        engine = BatchedEngine(InferenceSession(Doubler(), strict_no_graph=False),
+                               autostart=False)
+
+        def forward(fused):
+            if fused.shape[1] == 4:
+                raise ArithmeticError("kaboom")
+            return fused
+
+        batch = self._requests(np.ones((1, 4)), np.ones((2, 2)),
+                               np.ones((1, 4)))
+        cancelled = self._requests(np.ones((1, 2)))[0]
+        assert cancelled.future.cancel()
+        engine._execute(batch + [cancelled], forward)
+        for request in (batch[0], batch[2]):
+            with pytest.raises(ArithmeticError, match="kaboom"):
+                request.future.result(0)
+        np.testing.assert_array_equal(batch[1].future.result(0), np.ones((2, 2)))
+        assert cancelled.future.cancelled()
+        stats = engine.stats()
+        assert stats["batches"] == 1 and stats["samples"] == 2
+        engine.close()
+
+
 class TestThreadLocalGradMode:
     def test_no_grad_exit_on_one_thread_cannot_reenable_another(self):
         """The race the engines exposed: concurrent forwards on different

@@ -7,7 +7,9 @@ from repro import nn
 from repro.data import DataLoader, SyntheticTranslationTask
 from repro.models import MLPClassifier, Transformer
 from repro.optim import Adam, SGD
-from repro.training import History, Seq2SeqTrainer, Trainer
+from repro.tensor import Tensor
+from repro.training import DataParallelTrainer, History, Seq2SeqTrainer, Trainer
+from repro.training.trainer import DIVERGENCE_THRESHOLD
 
 
 def _toy_classification(n=120, features=8, seed=0):
@@ -83,6 +85,35 @@ class TestTrainer:
         assert len(history) < 10
         assert trainer.divergence_epoch is not None
 
+    def test_step_returns_loss_predictions_and_stepped(self):
+        inputs, targets = _toy_classification(n=32)
+        model = MLPClassifier(8, 2, hidden_sizes=(8,), seed=6)
+        trainer = self._trainer(model)
+        expected = model(Tensor(inputs)).data.argmax(axis=-1)  # pre-step logits
+        loss_value, predictions, stepped = trainer._optimize_batch(inputs, targets)
+        assert isinstance(loss_value, float) and np.isfinite(loss_value)
+        assert stepped is True
+        np.testing.assert_array_equal(predictions, expected)
+
+    def test_diverged_step_applies_no_update(self):
+        inputs, targets = _toy_classification(n=32)
+        model = MLPClassifier(8, 2, hidden_sizes=(8,), seed=7)
+        trainer = self._trainer(model)
+        trainer.divergence_threshold = 1e-9   # every batch "diverges"
+        before = [p.data.copy() for p in model.parameters()]
+        loss_value, predictions, stepped = trainer._optimize_batch(inputs, targets)
+        assert stepped is False
+        assert loss_value > trainer.divergence_threshold
+        assert predictions.shape == (32,)
+        for parameter, snapshot in zip(model.parameters(), before):
+            np.testing.assert_array_equal(parameter.data, snapshot)
+        # The per-instance override leaves the shared class constant alone.
+        assert Trainer.divergence_threshold == DIVERGENCE_THRESHOLD
+
+    def test_divergence_threshold_shared_by_all_trainers(self):
+        for cls in (Trainer, DataParallelTrainer, Seq2SeqTrainer):
+            assert cls.divergence_threshold == DIVERGENCE_THRESHOLD == 1e4
+
     def test_scheduler_steps_per_epoch(self):
         from repro.optim import MultiStepLR
         inputs, targets = _toy_classification()
@@ -118,6 +149,24 @@ class TestSeq2SeqTrainer:
         assert ("13a", True) in scores and ("international", False) in scores
         assert len(scores["hypotheses"]) == 8
         assert all(0.0 <= scores[key] <= 100.0 for key in scores if key != "hypotheses")
+
+    def test_gradients_clipped_at_unit_norm(self):
+        task, trainer, _ = self._setup()
+        norms = []
+        clip = trainer.optimizer.clip_grad_norm
+
+        def recording_clip(max_norm):
+            norms.append(max_norm)
+            clip(max_norm)
+            total = np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum())
+                                for p in trainer.optimizer.parameters()
+                                if p.grad is not None))
+            assert total <= max_norm * (1 + 1e-5)
+
+        trainer.optimizer.clip_grad_norm = recording_clip
+        source, decoder_input, decoder_target = task.training_arrays()
+        trainer.train_epoch(source, decoder_input, decoder_target, batch_size=16)
+        assert norms and set(norms) == {1.0}
 
     def test_quadratic_transformer_trains(self):
         task, trainer, _ = self._setup(neuron_type="proposed")

@@ -17,6 +17,7 @@ from repro.models import MLPClassifier, SimpleCNN
 from repro.optim import SGD
 from repro.parallel.seeding import derive_seed
 from repro.parallel.worker import DEPTH_ENV
+from repro.tensor import Tensor
 from repro.training import DataParallelTrainer, DistributedTrainingError, Trainer, \
     shard_bounds
 from repro.training.dp_worker import loss_spec_of
@@ -134,6 +135,23 @@ class TestDataParallelIdentity:
         plain_params, _, _ = self._fit(world_size=1, workers=1)
         assert any(not np.array_equal(a, b)
                    for a, b in zip(sharded_params, plain_params))
+
+    def test_sharded_step_returns_full_batch_argmax(self):
+        # Both trainers' steps return (loss_value, predictions, stepped); the
+        # concatenated shard predictions are the plain full-batch argmax.
+        inputs, targets = _toy_classification(n=33)
+        model = _mlp(seed=0)
+        expected = model(Tensor(inputs)).data.argmax(axis=-1)
+        trainer = DataParallelTrainer(
+            model, SGD(model.parameters(), lr=0.1), nn.CrossEntropyLoss(),
+            world_size=3, workers=1, seed=0)
+        try:
+            loss_value, predictions, stepped = trainer._optimize_batch(inputs, targets)
+        finally:
+            trainer.close()
+        assert isinstance(loss_value, float) and np.isfinite(loss_value)
+        assert stepped is True
+        np.testing.assert_array_equal(predictions, expected)
 
     def test_batchnorm_buffers_identical_inline_vs_remote(self):
         def run(workers):
