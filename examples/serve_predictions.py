@@ -9,10 +9,10 @@ Demonstrates the full serving path added on top of the experiment stack:
    bundle alone and returns a :class:`repro.Predictor`.  ``engine="batched"``
    routes every forward through a :class:`~repro.serve.BatchedEngine`, whose
    scheduler coalesces concurrent requests into fused no-grad forwards.
-   Loading also compiles by default (``compile=True``): the first forward
-   per input shape is traced into a fused, arena-allocated execution plan
-   that later same-shape forwards replay without per-op dispatch — pass
-   ``compile=False`` to force op-by-op dispatch.
+   Loading also compiles: the first forward per input shape is traced
+   into a fused, arena-allocated execution plan that later same-shape
+   forwards replay without per-op dispatch (a plan that fails its
+   byte-identity check falls back to dispatch by itself).
 3. A :class:`~repro.serve.ModelRouter` mounts both predictors behind the
    stdlib HTTP server's versioned multi-model API — ``GET /v1/models``,
    ``POST /v1/models/<name>/predict``, ``GET /v1/stats``.
@@ -123,7 +123,7 @@ def main() -> None:
         stats = json.load(urllib.request.urlopen(f"{base}/v1/stats"))
         entry = stats["models"]["quad"]
         print("quad scheduler stats:", entry["scheduler"])
-        # compile=True (the default) traced each model on first forward;
+        # Loading traced each model on its first forward;
         # every same-shape request after that was a plan-cache replay.
         print("quad plan cache:", entry["plan_cache"])
         latency = entry["latency"]

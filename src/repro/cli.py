@@ -36,7 +36,7 @@
   ``POST /v1/models/<name>/generate``, ``GET /v1/stats``), with
   cross-request dynamic batching by default (``--engine batched``,
   tuned by ``--max-batch`` / ``--max-wait-ms`` / ``--queue-size``),
-  trace-and-replay compilation per model (disable with ``--no-compile``),
+  trace-and-replay compilation per model,
   per-model admission control (``--max-inflight``), the ``/v1/admin``
   control plane (disable with ``--no-admin``), and graceful SIGINT/SIGTERM
   draining.
@@ -311,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "bound in seconds before a 504 (default: "
                                    "30; direct forwards run inline and "
                                    "cannot time out)")
-    serve_parser.add_argument("--no-compile", action="store_true",
-                              help="disable trace-and-replay compilation and "
-                                   "dispatch every forward through the "
-                                   "autograd engine")
     serve_parser.add_argument("--max-inflight", type=int, default=None,
                               metavar="N",
                               help="per-model admission cap: shed requests "
@@ -823,7 +819,7 @@ def _command_serve(args) -> int:
           max_batch=args.max_batch, quiet=args.quiet,
           engine=args.engine, max_wait_ms=args.max_wait_ms,
           queue_size=args.queue_size, request_timeout=args.request_timeout,
-          default_model=args.default_model, compile=not args.no_compile,
+          default_model=args.default_model,
           workers=args.workers, max_inflight=args.max_inflight,
           admin=not args.no_admin)
     return 0

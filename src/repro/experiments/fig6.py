@@ -92,7 +92,7 @@ from .registry import register
 
 register(name="fig6", artifact="Fig. 6",
          title="Training stability: proposed neuron vs kervolutional KNN-n",
-         runner=run)
+         runner=run, version=2)
 
 
 def main(scale_name: str = "bench") -> None:

@@ -144,16 +144,17 @@ def active_bundle_dir() -> Path | None:
 
 
 @contextlib.contextmanager
-def _bundle_environment(path: Path):
-    previous = os.environ.get(BUNDLE_DIR_ENV)
-    os.environ[BUNDLE_DIR_ENV] = str(path)
+def _environment(name: str, value):
+    """Set ``$name`` to ``str(value)`` for the duration, then restore it."""
+    previous = os.environ.get(name)
+    os.environ[name] = str(value)
     try:
         yield
     finally:
         if previous is None:
-            os.environ.pop(BUNDLE_DIR_ENV, None)
+            os.environ.pop(name, None)
         else:
-            os.environ[BUNDLE_DIR_ENV] = previous
+            os.environ[name] = previous
 
 
 def _lock_path(path: Path) -> Path:
@@ -217,7 +218,7 @@ def run_experiment(name: str, scale: str | ExperimentScale = "bench",
 
         bundle_dir = bundle_dir_path(cache_dir, spec, scale, digest)
         start = time.perf_counter()
-        with _bundle_environment(bundle_dir):
+        with _environment(BUNDLE_DIR_ENV, bundle_dir):
             result = spec.runner(scale) if spec.uses_scale else spec.runner()
         elapsed = time.perf_counter() - start
 
@@ -263,27 +264,6 @@ def run_experiment_task(name: str, scale, cache_dir: str,
             "config_hash": outcome.config_hash, "path": str(outcome.path),
             "cache_hit": outcome.cache_hit,
             "elapsed_seconds": outcome.elapsed_seconds}
-
-
-@contextlib.contextmanager
-def _jobs_environment(jobs: int):
-    """Expose the sweep's worker budget as ``$REPRO_JOBS`` for the duration.
-
-    Per-model grids deep inside a driver read it through
-    :func:`~repro.parallel.executor.effective_jobs`: when a *single*
-    experiment runs in-process with ``--jobs 4`` its internal grid fans out
-    4-wide, while grids inside pool workers are clamped back to 1 by the
-    worker's parallel depth.
-    """
-    previous = os.environ.get(JOBS_ENV)
-    os.environ[JOBS_ENV] = str(jobs)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(JOBS_ENV, None)
-        else:
-            os.environ[JOBS_ENV] = previous
 
 
 def run_many(names: list[str], scale: str | ExperimentScale = "bench",
@@ -345,7 +325,11 @@ def run_many(names: list[str], scale: str | ExperimentScale = "bench",
             progress(outcome)
 
     tasks = [make_task(index, name) for index, name in enumerate(names)]
-    with _jobs_environment(resolved_jobs):
+    # Per-model grids deep inside a driver read the worker budget through
+    # effective_jobs(): a single in-process experiment fans its grid out
+    # that wide, while grids inside pool workers are clamped back to 1 by
+    # the worker's parallel depth.
+    with _environment(JOBS_ENV, resolved_jobs):
         run_tasks(tasks, jobs=resolved_jobs, retries=1, on_event=on_event,
                   on_result=handle_result)
     return [finalized[index] for index in range(len(names))]

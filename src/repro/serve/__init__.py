@@ -71,21 +71,21 @@ class Predictor:
     accepted too — that is the hook a multi-process or multi-backend engine
     plugs into; the predictor then adopts the engine's own session (so
     ``describe``/``warm`` target the session that actually serves) and
-    ``max_batch`` is ignored.
+    ``max_batch`` is ignored.  A session the predictor builds always
+    compiles: each plan is checked byte-identical against dispatch before
+    use and falls back to dispatch by itself.
     """
 
     def __init__(self, model, normalization: dict | None = None,
                  classes: list[str] | None = None, input_shape: tuple | None = None,
                  max_batch: int = 64, warm: bool = False, engine="direct",
                  max_wait_ms: float | None = None, queue_size: int | None = None,
-                 compile: bool = True, workers: int | None = None):
+                 workers: int | None = None):
         if isinstance(engine, ServingEngine) and \
                 getattr(engine, "session", None) is not None:
             self.session = engine.session
-            self.session.compile_enabled = bool(compile)
         else:
-            self.session = InferenceSession(model, max_batch=max_batch,
-                                            compile=compile)
+            self.session = InferenceSession(model, max_batch=max_batch)
         self.engine = make_engine(engine, self.session,
                                   max_wait_ms=max_wait_ms, queue_size=queue_size,
                                   workers=workers)
@@ -186,17 +186,17 @@ class Predictor:
 
 def load(path, max_batch: int = 64, warm: bool = True, engine="direct",
          max_wait_ms: float | None = None, queue_size: int | None = None,
-         compile: bool = True, workers: int | None = None):
+         workers: int | None = None):
     """Load a bundle from ``path`` into a ready-to-serve predictor.
 
     Re-exported as :func:`repro.load`; warming is on by default so the first
     request after process start doesn't pay the buffer-allocation cost —
-    and, with ``compile=True`` (default), warming also traces and compiles
-    the execution plan for the steady-state batch shape, so real traffic
-    replays from the first request.  ``engine="batched"`` opts the predictor
-    into cross-request dynamic batching (what ``repro serve`` uses by
-    default); ``engine="pool"`` shards fused batches across ``workers``
-    warm worker processes; ``compile=False`` forces classic per-op dispatch.
+    warming also traces and compiles the execution plan for the
+    steady-state batch shape, so real traffic replays from the first
+    request.  ``engine="batched"`` opts the predictor into cross-request
+    dynamic batching (what ``repro serve`` uses by default);
+    ``engine="pool"`` shards fused batches across ``workers`` warm worker
+    processes.
 
     Bundles whose section carries ``generation`` metadata (sequence models
     exported with :func:`repro.serve.generate.generation_bundle_info`) come
@@ -204,7 +204,7 @@ def load(path, max_batch: int = 64, warm: bool = True, engine="direct",
     built from the two options it uses: ``max_batch`` sizes its
     decode-slot pool and ``queue_size`` bounds its queue.  The
     prediction-only options (``warm``/``engine``/``max_wait_ms``/
-    ``workers``/``compile``) do not apply to it — its scheduler has no
+    ``workers``) do not apply to it — its scheduler has no
     coalescing window — so ``repro serve`` can pass one set of options to
     every model it mounts.
     """
@@ -218,4 +218,4 @@ def load(path, max_batch: int = 64, warm: bool = True, engine="direct",
                                    queue_size=queue_size)
     return Predictor(bundle, max_batch=max_batch, warm=warm, engine=engine,
                      max_wait_ms=max_wait_ms, queue_size=queue_size,
-                     compile=compile, workers=workers)
+                     workers=workers)

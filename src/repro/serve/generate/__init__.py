@@ -72,8 +72,7 @@ class GenerationPredictor:
     """
 
     def __init__(self, bundle_or_path, max_batch: int = 8,
-                 queue_size: int | None = None, max_len: int | None = None,
-                 seed: int = 0):
+                 queue_size: int | None = None):
         bundle = bundle_or_path if isinstance(bundle_or_path, Bundle) \
             else load_bundle(bundle_or_path)
         section = bundle.section.get("generation")
@@ -86,15 +85,12 @@ class GenerationPredictor:
         self.eos_id = int(section["eos_id"])
         self.pad_id = int(section.get("pad_id", 0))
         self.max_len = int(section.get("max_len") or self.model.max_len)
-        if max_len is not None:
-            self.max_len = min(self.max_len, int(max_len))
         self.source_vocab = _rebuild_vocabulary(section.get("source_vocab"))
         self.target_vocab = _rebuild_vocabulary(section.get("target_vocab"))
         queue_options = {} if queue_size is None else {"queue_size": queue_size}
         self.engine = GenerationEngine(
             self.model, bos_id=self.bos_id, eos_id=self.eos_id,
-            max_batch=max_batch, max_len=self.max_len, seed=seed,
-            **queue_options)
+            max_batch=max_batch, max_len=self.max_len, **queue_options)
 
     # -- input/output mapping --------------------------------------------------
 

@@ -80,17 +80,17 @@ class GenerationEngine(QueuedEngine):
     queue_size:
         Bound on queued requests; beyond it ``submit`` raises
         :class:`QueueFull` (HTTP 429).
-    seed:
-        Root of the per-request sampling streams: request ``i`` (in arrival
-        order) draws from ``derive_seed(seed, "generate", i)`` unless the
-        caller pins its own ``seed`` at :meth:`submit` time.
+
+    Request ``i`` (in arrival order) samples from the stream
+    ``derive_seed(0, "generate", i)`` unless the caller pins its own
+    ``seed`` at :meth:`submit` time.
     """
 
     name = "generation"
 
     def __init__(self, model, bos_id: int, eos_id: int, max_batch: int = 8,
                  max_len: int | None = None, queue_size: int = 256,
-                 seed: int = 0, autostart: bool = True):
+                 autostart: bool = True):
         # No session: forwards run through the model's incremental decoder.
         # The thread starts only once the decode state below exists.
         super().__init__(None, max_batch=max_batch, queue_size=queue_size,
@@ -99,7 +99,6 @@ class GenerationEngine(QueuedEngine):
         self.bos_id = int(bos_id)
         self.eos_id = int(eos_id)
         self.pad_id = int(model.pad_id)
-        self.seed = int(seed)
         self.state = model.new_decode_state(self.max_batch, max_len=max_len)
         self._active: dict[int, _Request] = {}
         self._free = list(range(self.max_batch - 1, -1, -1))
@@ -142,7 +141,7 @@ class GenerationEngine(QueuedEngine):
             self._arrivals += 1
         components = ("generate", index) if seed is None else ("generate",)
         rng = np.random.default_rng(
-            derive_seed(self.seed if seed is None else int(seed), *components))
+            derive_seed(0 if seed is None else int(seed), *components))
         return self._enqueue(_Request(Future(), source, max_new_tokens,
                                       resolved, rng))
 

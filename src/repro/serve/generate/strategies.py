@@ -45,9 +45,6 @@ class GenerationStrategy:
     def select(self, logits: np.ndarray, rng: np.random.Generator) -> int:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {"strategy": self.name}
-
 
 class GreedyStrategy(GenerationStrategy):
     """Deterministic argmax decoding (ties break to the lowest id)."""
@@ -92,21 +89,15 @@ class SamplingStrategy(GenerationStrategy):
         return int(np.searchsorted(cumulative, draw, side="right")
                    .clip(0, logits.shape[-1] - 1))
 
-    def describe(self) -> dict:
-        return {"strategy": self.name, "temperature": self.temperature,
-                "top_k": self.top_k}
-
 
 def make_strategy(strategy=None, temperature: float | None = None,
                   top_k: int | None = None) -> GenerationStrategy:
-    """Resolve a strategy name (or pass an instance through).
+    """Resolve a strategy name to a fresh strategy.
 
     ``None`` means greedy — unless a sampling knob (``temperature`` or
     ``top_k``) was given, which implies ``"sample"``; naming ``"greedy"``
     while also passing sampling knobs is rejected as contradictory.
     """
-    if isinstance(strategy, GenerationStrategy):
-        return strategy
     if strategy is None:
         strategy = "greedy" if temperature is None and top_k is None \
             else "sample"

@@ -424,8 +424,7 @@ def serve(models: dict, host: str = "127.0.0.1", port: int = 8000,
           max_batch: int = 64, quiet: bool = False, engine: str = "batched",
           max_wait_ms: float = DEFAULT_MAX_WAIT_MS, queue_size: int = 256,
           request_timeout: float | None = 30.0,
-          default_model: str | None = None, ready=None,
-          compile: bool = True, workers: int = 2,
+          default_model: str | None = None, ready=None, workers: int = 2,
           max_inflight: int | None = None, admin: bool = True) -> None:
     """Load bundles and serve them until interrupted (the CLI entry point).
 
@@ -435,18 +434,18 @@ def serve(models: dict, host: str = "127.0.0.1", port: int = 8000,
     server mounts, say, a hot model on its own 4-worker pool next to a
     long-tail model on the batched engine.  Every model is one
     :func:`repro.serve.load` call with the shared ``max_batch``,
-    ``max_wait_ms``, ``queue_size`` and ``compile``, so each gets its own
-    session and serving engine (``engine="batched"`` by default;
-    ``"direct"`` for inline lock-and-forward; ``"pool"`` for the
-    multi-process pool with ``workers`` processes per model).  Loading warms
-    each model, which with ``compile=True`` traces and compiles its
-    steady-state plan before the first request.  The first model is the
-    default unless ``default_model`` names another.  ``max_inflight`` caps
-    concurrent requests *per model* (admission control: a saturated model
-    sheds with 429 while the others keep serving); ``admin=False`` disables
-    the ``/v1/admin`` control-plane routes.  Bad specs, engine names and
-    ``default_model`` fail before anything loads; a failure while loading
-    closes the models already mounted.  SIGINT/SIGTERM shut down
+    ``max_wait_ms`` and ``queue_size``, so each gets its own session and
+    serving engine (``engine="batched"`` by default; ``"direct"`` for inline
+    lock-and-forward; ``"pool"`` for the multi-process pool with ``workers``
+    processes per model).  Loading warms each model, which traces and
+    compiles its steady-state plan before the first request.  The first
+    model is the default unless ``default_model`` names another.
+    ``max_inflight`` caps concurrent requests *per model* (admission
+    control: a saturated model sheds with 429 while the others keep
+    serving); ``admin=False`` disables the ``/v1/admin`` control-plane
+    routes.  Bad specs, engine names and ``default_model`` fail before
+    anything loads; a failure while loading closes the models already
+    mounted.  SIGINT/SIGTERM shut down
     gracefully: the queue drains, queued futures fail with a clear error
     instead of hanging their clients, then the process exits.  ``ready``, if
     given, is called with the bound server before the serve loop starts
@@ -477,8 +476,7 @@ def serve(models: dict, host: str = "127.0.0.1", port: int = 8000,
     try:
         for name, spec in specs.items():
             options = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-                       "queue_size": queue_size, "compile": compile,
-                       "workers": workers, **spec}
+                       "queue_size": queue_size, "workers": workers, **spec}
             path = options.pop("path")
             router.add(name, load(path, **options), source=str(path),
                        load_options=options, max_inflight=max_inflight)

@@ -39,16 +39,11 @@ class LatencyHistogram:
     so the units are visible in the schema itself.
     """
 
-    __slots__ = ("bounds_ms", "_counts", "_count", "_sum_ms", "_min_ms",
+    __slots__ = ("_counts", "_count", "_sum_ms", "_min_ms",
                  "_max_ms", "_lock")
 
-    def __init__(self, bounds_ms: tuple[float, ...] = DEFAULT_BOUNDS_MS):
-        bounds = tuple(float(bound) for bound in bounds_ms)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise ValueError(f"bucket bounds must be strictly increasing and "
-                             f"non-empty, got {bounds_ms!r}")
-        self.bounds_ms = bounds
-        self._counts = [0] * (len(bounds) + 1)  # + overflow bucket
+    def __init__(self):
+        self._counts = [0] * (len(DEFAULT_BOUNDS_MS) + 1)  # + overflow bucket
         self._count = 0
         self._sum_ms = 0.0
         self._min_ms = float("inf")
@@ -60,7 +55,7 @@ class LatencyHistogram:
     def record(self, seconds: float) -> None:
         """Record one request's latency (in seconds, as perf_counter deltas)."""
         ms = max(0.0, float(seconds) * 1000.0)
-        index = bisect_left(self.bounds_ms, ms)
+        index = bisect_left(DEFAULT_BOUNDS_MS, ms)
         with self._lock:
             self._counts[index] += 1
             self._count += 1
@@ -89,9 +84,9 @@ class LatencyHistogram:
             if bucket_count == 0:
                 continue
             if cumulative + bucket_count >= target:
-                lo = self.bounds_ms[index - 1] if index > 0 else 0.0
-                hi = self.bounds_ms[index] if index < len(self.bounds_ms) \
-                    else self._max_ms
+                lo = DEFAULT_BOUNDS_MS[index - 1] if index > 0 else 0.0
+                hi = DEFAULT_BOUNDS_MS[index] \
+                    if index < len(DEFAULT_BOUNDS_MS) else self._max_ms
                 fraction = (target - cumulative) / bucket_count
                 value = lo + fraction * (max(hi, lo) - lo)
                 return min(max(value, self._min_ms), self._max_ms)
@@ -116,7 +111,7 @@ class LatencyHistogram:
             count = self._count
             buckets = [{"le_ms": bound, "count": bucket_count}
                        for bound, bucket_count
-                       in zip(self.bounds_ms, self._counts)]
+                       in zip(DEFAULT_BOUNDS_MS, self._counts)]
             buckets.append({"le_ms": None, "count": self._counts[-1]})
             return {
                 "count": count,

@@ -54,6 +54,11 @@ __all__ = ["ManagedModel", "ModelOverloaded"]
 #: Shadow-queue sentinel telling the mirror thread to exit.
 _STOP = object()
 
+#: How long a reload/promote waits for the outgoing mount's in-flight
+#: requests before closing its engine anyway (a safety valve against a
+#: wedged forward, not a normal path).
+_DRAIN_TIMEOUT_S = 30.0
+
 #: Bound on queued shadow mirrors; beyond it mirrors are *dropped* (and
 #: counted) rather than back-pressuring real traffic — shadows are
 #: observability, not correctness.
@@ -108,16 +113,14 @@ class ManagedModel:
         Admission cap: with more than this many requests in flight on the
         model (primary + canary together), new arrivals shed with
         :class:`ModelOverloaded`.  ``None`` (default) disables shedding.
-    drain_timeout:
-        How long a reload/promote waits for the outgoing mount's in-flight
-        requests before closing its engine anyway (a safety valve against a
-        wedged forward, not a normal path).
+
+    A reload or promote waits up to :data:`_DRAIN_TIMEOUT_S` for the
+    outgoing mount's in-flight requests before closing its engine anyway.
     """
 
     def __init__(self, predictor, source: str | None = None,
                  load_options: dict | None = None,
-                 max_inflight: int | None = None,
-                 drain_timeout: float = 30.0):
+                 max_inflight: int | None = None):
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1 (or None to disable "
                              f"admission control), got {max_inflight}")
@@ -130,7 +133,6 @@ class ManagedModel:
         self._closed = False
         self.load_options = dict(load_options or {})
         self.max_inflight = max_inflight
-        self.drain_timeout = float(drain_timeout)
         # Control-plane counters (all guarded by self._lock).
         self.reloads = 0
         self.shed = 0
@@ -225,16 +227,6 @@ class ManagedModel:
         return self._request("predict", inputs, normalize=normalize,
                              timeout=timeout)
 
-    def predict_logits(self, inputs, normalize: bool = True,
-                       timeout: float | None = None) -> np.ndarray:
-        return self._request("predict_logits", inputs, normalize=normalize,
-                             timeout=timeout)
-
-    def predict_proba(self, inputs, normalize: bool = True,
-                      timeout: float | None = None) -> np.ndarray:
-        return self._request("predict_proba", inputs, normalize=normalize,
-                             timeout=timeout)
-
     def predict_topk(self, inputs, k: int = 5, normalize: bool = True,
                      timeout: float | None = None) -> list[dict]:
         return self._request("predict_topk", inputs, k=k, normalize=normalize,
@@ -256,14 +248,11 @@ class ManagedModel:
     # -- shadow mirroring ------------------------------------------------------
 
     @staticmethod
-    def _result_classes(method: str, result) -> list[int] | None:
-        """Top-1 class indices of a primary answer, whatever method produced it."""
+    def _result_classes(method: str, result) -> list[int]:
+        """Top-1 class indices of a ``predict`` or ``predict_topk`` answer."""
         if method == "predict_topk":
             return [int(record["class_index"]) for record in result]
-        if method == "predict":
-            return [int(index) for index in np.asarray(result).reshape(-1)]
-        return [int(index) for index in
-                np.asarray(result).argmax(axis=-1).reshape(-1)]
+        return [int(index) for index in np.asarray(result).reshape(-1)]
 
     def _mirror_to_shadow(self, inputs, method: str, result,
                           normalize: bool) -> None:
@@ -340,12 +329,12 @@ class ManagedModel:
     def _retire(self, mount: _Mount) -> bool:
         """Drain one outgoing mount, then close its engine.
 
-        Waits (up to ``drain_timeout``) for every request already routed to
-        the mount to finish — they hold engine futures that ``close()``
-        would otherwise fail — and only then closes the engine.  Returns
-        whether the drain completed cleanly within the timeout.
+        Waits (up to :data:`_DRAIN_TIMEOUT_S`) for every request already
+        routed to the mount to finish — they hold engine futures that
+        ``close()`` would otherwise fail — and only then closes the engine.
+        Returns whether the drain completed cleanly within the timeout.
         """
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + _DRAIN_TIMEOUT_S
         with self._lock:
             while mount.inflight > 0:
                 remaining = deadline - time.monotonic()

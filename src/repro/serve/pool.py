@@ -22,7 +22,7 @@ instead of competing**:
 
 Workers run :func:`worker_main` on the shared lifecycle of
 :mod:`repro.parallel.fleet` (concurrent boot, depth tagging, seeding with
-``derive_seed(seed, "serve-pool", rank)``, dispatch, respawn-and-retry,
+``derive_seed(0, "serve-pool", rank)``, dispatch, respawn-and-retry,
 shutdown).  Each loads the bundle **by path** into its own
 :class:`~repro.serve.InferenceSession`, so nothing unpicklable crosses the
 process boundary and every worker warms its own plan cache.  Model weights
@@ -111,9 +111,9 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
     max_batch / max_wait_ms / queue_size:
         The shared coalescing policy — identical meaning to
         :class:`~repro.serve.batching.BatchedEngine`.
-    seed:
-        Root seed for deterministic worker identity: worker *i* is seeded
-        with ``derive_seed(seed, "serve-pool", i)``.
+
+    Worker *i* is seeded with ``derive_seed(0, "serve-pool", i)``: a
+    deterministic identity that inference itself never draws on.
     """
 
     name = "pool"
@@ -125,8 +125,7 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
 
     def __init__(self, session, workers: int = 2, max_batch: int | None = None,
                  max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-                 queue_size: int = 256, seed: int = 0,
-                 autostart: bool = True):
+                 queue_size: int = 256, autostart: bool = True):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if parallel_depth() > 0:
@@ -143,7 +142,6 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
                 "in-memory models")
         WorkerFleet.__init__(self)
         self.workers = int(workers)
-        self.seed = int(seed)
         self.bundle_path = str(session.bundle.path)
         # At most `workers` shards in flight, so backpressure lands on the
         # main bounded request queue.
@@ -162,8 +160,7 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
     def _worker_spec(self) -> tuple:
         return worker_main, {"bundle_path": self.bundle_path,
                              "max_batch": self.max_batch,
-                             "compile": self.session.compile_enabled,
-                             "seed": self.seed}
+                             "compile": self.session.compile_enabled}
 
     # -- scheduling ------------------------------------------------------------
 

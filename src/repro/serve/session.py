@@ -51,18 +51,13 @@ class InferenceSession:
         path to a bundle ``.npz`` on disk.
     max_batch:
         Micro-batch size; requests larger than this are chunked.
-    strict_no_graph:
-        Assert after every forward that no autograd graph was constructed
-        (cheap: one integer comparison).  Disable only if a custom model
-        legitimately builds graph state during inference.
     compile:
         Trace-and-replay compilation (default on).  Serving wants it;
         training paths never construct sessions, so they are unaffected.
         Disable to force every forward through normal dispatch.
     """
 
-    def __init__(self, model, max_batch: int = 64, strict_no_graph: bool = True,
-                 compile: bool = True):
+    def __init__(self, model, max_batch: int = 64, compile: bool = True):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.bundle = None
@@ -75,7 +70,6 @@ class InferenceSession:
             model = model.model
         self.model = model.eval()
         self.max_batch = int(max_batch)
-        self.strict_no_graph = strict_no_graph
         self.compile_enabled = bool(compile)
         self.plan_cache = PlanCache()
         self.batches_served = 0
@@ -106,44 +100,31 @@ class InferenceSession:
 
     @no_grad()
     def _forward(self, chunk: np.ndarray) -> np.ndarray:
+        before = graph_nodes_created()
+        traced_key = plan = out = None
         if self.compile_enabled:
             key = plan_key((chunk.shape,), (chunk.dtype,))
             entry = self.plan_cache.lookup(key)
-            if entry is not None and entry is not FALLBACK:
-                before = graph_nodes_created()
-                out = entry.replay(chunk)
-                if self.strict_no_graph and graph_nodes_created() != before:
-                    raise RuntimeError(
-                        "plan replay constructed autograd graph nodes; the "
-                        "compiled plan is not allocation-free")
-                return out
             if entry is None:
                 # First time this (shape, dtype) is seen: trace + compile, and
                 # serve the trace run's own forward result.  A failed trace or
                 # validation caches a fallback so the key dispatches forever.
-                before = graph_nodes_created()
+                traced_key = key
                 plan, out = compile_forward(self.model, chunk)
-                if self.strict_no_graph and graph_nodes_created() != before:
-                    # The trace (or its validation forward) built graph nodes:
-                    # the model is doing graph work outside the engine's
-                    # gradient switch.  Don't cache a plan for it — replaying
-                    # would silently mask the bug strict mode exists to catch.
-                    raise RuntimeError(
-                        "inference forward constructed autograd graph nodes "
-                        "despite no_grad; the model is doing graph work "
-                        "outside the engine's gradient switch")
-                self.plan_cache.store(key, plan)
-                if out is not None:
-                    return out
-        before = graph_nodes_created()
-        out = self.model(Tensor(chunk)).data
-        if self.strict_no_graph:
-            created = graph_nodes_created() - before
-            if created:
-                raise RuntimeError(
-                    f"inference forward constructed {created} autograd graph "
-                    f"node(s) despite no_grad; the model is doing graph work "
-                    f"outside the engine's gradient switch")
+            elif entry is not FALLBACK:
+                out = entry.replay(chunk)
+        if out is None:
+            out = self.model(Tensor(chunk)).data
+        created = graph_nodes_created() - before
+        if created:
+            # Raised before a fresh plan is cached: replaying a plan traced
+            # from such a model would silently mask the bug on every call.
+            raise RuntimeError(
+                f"inference forward constructed {created} autograd graph "
+                f"node(s) despite no_grad; the model is doing graph work "
+                f"outside the engine's gradient switch")
+        if traced_key is not None:
+            self.plan_cache.store(traced_key, plan)
         return out
 
     def _micro_batches(self, inputs: np.ndarray):

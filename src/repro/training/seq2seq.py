@@ -68,28 +68,21 @@ class Seq2SeqTrainer:
         return {"loss": total_loss / max(total_batches, 1), "diverged": self.diverged}
 
     def evaluate_bleu(self, task: SyntheticTranslationTask, batch_size: int = 32,
-                      max_len: int | None = None,
-                      decoder: str = "incremental") -> dict:
+                      max_len: int | None = None) -> dict:
         """Greedy-decode the test split and score BLEU under all Table II settings.
 
         Decoding runs through the KV-cached incremental path
         (:meth:`~repro.models.transformer.Transformer.greedy_decode`), which
         is byte-identical to — and much faster than — the full-prefix
-        recompute; pass ``decoder="reference"`` to force the O(T²) reference
-        implementation (used by the identity tests).  Returns a dictionary
+        recompute of ``greedy_decode_reference``.  Returns a dictionary
         keyed by ``(tokenization, cased)`` plus the raw hypothesis strings
         under ``"hypotheses"``.
         """
-        if decoder not in ("incremental", "reference"):
-            raise ValueError(f"decoder must be 'incremental' or 'reference', "
-                             f"got {decoder!r}")
-        decode = self.model.greedy_decode if decoder == "incremental" \
-            else self.model.greedy_decode_reference
         self.model.eval()
         source_ids, _, _ = task.test_arrays()
         hypotheses_ids: list[list[int]] = []
         for start in range(0, len(source_ids), batch_size):
-            decoded = decode(
+            decoded = self.model.greedy_decode(
                 source_ids[start:start + batch_size], bos_id=task.bos_id, eos_id=task.eos_id,
                 max_len=max_len or task.max_len)
             hypotheses_ids.extend(decoded)

@@ -116,16 +116,16 @@ class Trainer:
             totals.update(start_totals)
         for batch_inputs, batch_targets in loader:
             loss_value, predictions, stepped = self._optimize_batch(batch_inputs, batch_targets)
+            batch_size = len(batch_targets)
+            # A diverged batch still counts its size-weighted loss (inf when
+            # not finite) and its examples, but no correct predictions.
+            totals["loss"] += loss_value * batch_size if math.isfinite(loss_value) else float("inf")
+            totals["examples"] += batch_size
             if not stepped:
                 self.diverged = True
-                totals["loss"] += loss_value if math.isfinite(loss_value) else float("inf")
-                totals["examples"] += len(batch_targets)
                 break
-            batch_size = len(batch_targets)
-            totals["loss"] += loss_value * batch_size
             batch_accuracy = float((predictions == np.asarray(batch_targets)).mean())
             totals["correct"] += batch_accuracy * batch_size
-            totals["examples"] += batch_size
             totals["batches"] += 1
             self.global_step += 1
             self._maybe_step_checkpoint(loader, epoch, totals)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.models import Transformer
 from repro.serve import EngineClosed, QueueFull
-from repro.serve.generate import GenerationEngine, GenerationStrategy
+from repro.serve.generate import GenerationEngine, GreedyStrategy
 
 BOS, EOS = 1, 2
 
@@ -210,16 +210,15 @@ class TestBackpressureAndDrain:
                 future.result(timeout=0)
         assert repro_threads() == baseline
 
-    def test_crashed_scheduler_fails_active_and_queued_futures(self):
-        class Broken(GenerationStrategy):
-            name = "broken"
+    def test_crashed_scheduler_fails_active_and_queued_futures(self,
+                                                               monkeypatch):
+        def broken(self, logits, rng):
+            raise RuntimeError("strategy bug")
 
-            def select(self, logits, rng):
-                raise RuntimeError("strategy bug")
-
+        monkeypatch.setattr(GreedyStrategy, "select", broken)
         engine = GenerationEngine(_tiny_transformer(), bos_id=BOS, eos_id=EOS,
                                   max_batch=1, autostart=False)
-        active = engine.submit(_source(5, 0), strategy=Broken())
+        active = engine.submit(_source(5, 0))
         queued = engine.submit(_source(5, 1))
         engine.start()
         with pytest.raises(RuntimeError, match="strategy bug"):

@@ -62,8 +62,7 @@ class TestBundleRoundTrip:
         assert isinstance(predictor, GenerationPredictor)
         assert predictor.describe()["type"] == "generation"
         predictor.close()
-        classifier = load(cls_bundle, engine="direct", compile=False,
-                          warm=False)
+        classifier = load(cls_bundle, engine="direct", warm=False)
         assert isinstance(classifier, Predictor)
         assert not isinstance(classifier, GenerationPredictor)
         classifier.close()
@@ -128,7 +127,7 @@ def live_server(gen_bundle, cls_bundle):
 
     def run():
         serve(models={"gen": gen_path, "cls": cls_bundle}, port=0, quiet=True,
-              engine="direct", compile=False,
+              engine="direct",
               ready=lambda server: captured.update(server=server))
         done.set()
 

@@ -64,7 +64,8 @@ class TestInferenceSession:
         session.predict(x)
         assert graph_nodes_created() == before
 
-    def test_strict_mode_catches_graph_building_models(self):
+    @pytest.mark.parametrize("compile", [True, False])
+    def test_strict_mode_catches_graph_building_models(self, compile):
         import repro.tensor.engine as engine
 
         class Sneaky(SimpleCNN):
@@ -76,10 +77,12 @@ class TestInferenceSession:
 
         model = Sneaky(num_classes=4, neuron_type="linear", base_width=4,
                        image_size=8, seed=0)
-        session = InferenceSession(model, max_batch=4)
+        session = InferenceSession(model, max_batch=4, compile=compile)
         try:
-            with pytest.raises(RuntimeError, match="graph"):
-                session.predict(_inputs(2))
+            for _ in range(2):  # a failed trace caches no plan to replay
+                with pytest.raises(RuntimeError, match="graph"):
+                    session.predict(_inputs(2))
+                assert len(session.plan_cache) == 0
         finally:
             engine._state.grad_enabled = True  # restore for the rest of the suite
 

@@ -81,7 +81,7 @@ class TestDirectEngine:
             engine.submit(_inputs(1))
 
     def test_forward_errors_delivered_via_future(self):
-        engine = DirectEngine(InferenceSession(Doubler(), strict_no_graph=False))
+        engine = DirectEngine(InferenceSession(Doubler()))
         with pytest.raises(ValueError, match="batched"):
             engine.submit(np.zeros(3, dtype=np.float32)).result()
 
@@ -206,7 +206,7 @@ class TestBatchedEngine:
         engine.close()
 
     def test_heterogeneous_shapes_grouped_per_geometry(self):
-        session = InferenceSession(Doubler(), strict_no_graph=False)
+        session = InferenceSession(Doubler())
         engine = BatchedEngine(session, max_wait_ms=50.0, autostart=False)
         wide = np.arange(10, dtype=np.float32).reshape(2, 5)
         narrow = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -250,7 +250,7 @@ class TestBatchedEngine:
                 time.sleep(0.15)
                 return x * 2
 
-        session = InferenceSession(Slow(), strict_no_graph=False)
+        session = InferenceSession(Slow())
         engine = BatchedEngine(session, max_batch=1, max_wait_ms=0.0,
                                queue_size=64)
         first = engine.submit(np.ones((1, 2), dtype=np.float32))
@@ -306,7 +306,7 @@ class TestBatchedEngine:
                 super().put_nowait(item)
 
         baseline = repro_threads()
-        session = InferenceSession(Blocking(), strict_no_graph=False)
+        session = InferenceSession(Blocking())
         engine = BatchedEngine(session, max_batch=1, max_wait_ms=0.0,
                                autostart=False)
         engine._queue = RacingQueue(maxsize=engine.queue_size)
@@ -329,7 +329,7 @@ class TestBatchedEngine:
             engine._queue.put(_SHUTDOWN)  # free a stranded scheduler
 
     def test_forward_errors_isolated_to_their_batch(self):
-        session = InferenceSession(Exploder(), strict_no_graph=False)
+        session = InferenceSession(Exploder())
         with BatchedEngine(session, max_wait_ms=1.0) as engine:
             with pytest.raises(ArithmeticError, match="kaboom"):
                 engine.predict(_inputs(2), timeout=30)
@@ -340,7 +340,7 @@ class TestBatchedEngine:
     def test_scheduler_survives_batch_assembly_failures(self, monkeypatch):
         """An error outside the forward (e.g. OOM in np.concatenate) must
         fail that batch's futures, not kill the scheduler silently."""
-        engine = BatchedEngine(InferenceSession(Doubler(), strict_no_graph=False),
+        engine = BatchedEngine(InferenceSession(Doubler()),
                                max_wait_ms=50.0, autostart=False)
         monkeypatch.setattr("repro.serve.batching.np.concatenate",
                             lambda *args, **kwargs: (_ for _ in ()).throw(
@@ -358,7 +358,7 @@ class TestBatchedEngine:
         engine.close()
 
     def test_crashed_scheduler_fails_futures_and_closes(self, monkeypatch):
-        engine = BatchedEngine(InferenceSession(Doubler(), strict_no_graph=False),
+        engine = BatchedEngine(InferenceSession(Doubler()),
                                max_wait_ms=1.0, autostart=False)
         monkeypatch.setattr(engine, "_handle_batch",
                             lambda batch: (_ for _ in ()).throw(
@@ -375,7 +375,7 @@ class TestBatchedEngine:
             engine.submit(np.ones((1, 2), dtype=np.float32))
 
     def test_cancelled_requests_are_skipped(self):
-        engine = BatchedEngine(InferenceSession(Doubler(), strict_no_graph=False),
+        engine = BatchedEngine(InferenceSession(Doubler()),
                                max_wait_ms=50.0, autostart=False)
         cancelled = engine.submit(np.ones((1, 2), dtype=np.float32))
         live = engine.submit(np.full((1, 2), 3.0, dtype=np.float32))
@@ -415,7 +415,7 @@ class TestExecuteLoop:
         return [_Request(np.asarray(array, dtype=np.float32)) for array in arrays]
 
     def test_one_forward_per_geometry_group_demuxed_by_rows(self):
-        engine = BatchedEngine(InferenceSession(Doubler(), strict_no_graph=False),
+        engine = BatchedEngine(InferenceSession(Doubler()),
                                autostart=False)
         calls = []
 
@@ -435,7 +435,7 @@ class TestExecuteLoop:
         engine.close()
 
     def test_failing_group_fails_only_its_own_futures(self):
-        engine = BatchedEngine(InferenceSession(Doubler(), strict_no_graph=False),
+        engine = BatchedEngine(InferenceSession(Doubler()),
                                autostart=False)
 
         def forward(fused):
@@ -491,7 +491,7 @@ class TestWarmIdempotent:
         model = Doubler()
         # compile=False: these tests pin dispatch-level forward counts, and
         # compilation would serve re-warms from the plan cache instead.
-        session = InferenceSession(model, strict_no_graph=False, compile=False)
+        session = InferenceSession(model, compile=False)
         assert session.warm(input_shape=(2,), batch_sizes=(4, 1)) is True
         first = model.forwards
         assert session.warm(input_shape=(2,), batch_sizes=(4, 1)) is True
@@ -501,7 +501,7 @@ class TestWarmIdempotent:
 
     def test_concurrent_warms_run_once(self):
         model = Doubler()
-        session = InferenceSession(model, strict_no_graph=False, compile=False)
+        session = InferenceSession(model, compile=False)
         barrier = threading.Barrier(8)
 
         def warm():
@@ -602,7 +602,7 @@ class TestModelRouter:
         router.close()
         for name in router.names():
             with pytest.raises(EngineClosed):
-                router.get(name).predict_logits(_inputs(1))
+                router.get(name).predict(_inputs(1))
 
 
 @pytest.fixture
@@ -809,7 +809,7 @@ class TestServeEntrypoint:
         assert done.wait(10)
         # serve()'s finally-block drained the router: engines reject new work.
         with pytest.raises(EngineClosed):
-            server.router.get("quad").predict_logits(_inputs(1))
+            server.router.get("quad").predict(_inputs(1))
 
     def test_serve_requires_a_model(self):
         from repro.serve.http import serve

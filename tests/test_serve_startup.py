@@ -45,7 +45,7 @@ def _load_options(engine: str, workers: int = 2) -> dict:
     """What a hot reload of the model re-loads the bundle with."""
     return {"engine": engine, "max_batch": 64,
             "max_wait_ms": DEFAULT_MAX_WAIT_MS, "queue_size": 256,
-            "workers": workers, "compile": True}
+            "workers": workers}
 
 
 #: The ``repro serve`` command lines perfbench and CI start servers with, and

@@ -110,6 +110,29 @@ class TestTrainer:
         # The per-instance override leaves the shared class constant alone.
         assert Trainer.divergence_threshold == DIVERGENCE_THRESHOLD
 
+    def test_diverged_epoch_loss_is_size_weighted_mean_of_every_batch(self):
+        inputs, targets = _toy_classification(n=96)
+        model = MLPClassifier(8, 2, hidden_sizes=(8,), seed=7)
+        trainer = self._trainer(model)
+        loader = DataLoader(inputs, targets, batch_size=32, seed=0)
+        step = trainer._optimize_batch
+        losses = []
+
+        def third_batch_diverges(batch_inputs, batch_targets):
+            if len(losses) == 2:
+                trainer.divergence_threshold = 0.0
+            result = step(batch_inputs, batch_targets)
+            losses.append(result[0])
+            return result
+
+        trainer._optimize_batch = third_batch_diverges
+        metrics = trainer.train_epoch(loader)
+        assert metrics["diverged"] and len(losses) == 3
+        # Three 32-row batches: the weighted mean is the plain mean, so it
+        # lies between the smallest and largest batch loss.
+        assert metrics["loss"] == pytest.approx(sum(losses) / 3)
+        assert min(losses) <= metrics["loss"] <= max(losses)
+
     def test_divergence_threshold_shared_by_all_trainers(self):
         for cls in (Trainer, DataParallelTrainer, Seq2SeqTrainer):
             assert cls.divergence_threshold == DIVERGENCE_THRESHOLD == 1e4
