@@ -36,6 +36,7 @@ import numpy as np
 
 from .experiments.runner import default_cache_dir, run_many
 from .io.serialization import atomic_write_json
+from .parallel import fleet
 
 __all__ = ["time_alternating", "fused_kernel_benchmarks",
            "inference_benchmarks", "serving_benchmarks", "pool_benchmarks",
@@ -735,9 +736,11 @@ def _git(*args: str) -> str:
 def environment() -> dict:
     """What a run's numbers depend on: cores, BLAS, numpy, interpreter, commit.
 
-    ``git_dirty`` is true when the tree differs from ``git_sha`` (modified or
-    untracked files), so such numbers are not read as the commit's own, and
-    ``None`` outside a git checkout.
+    ``worker_start_method`` and ``worker_preload`` say how the micros'
+    worker processes boot (forks of one server that imported those
+    modules).  ``git_dirty`` is true when the tree differs from ``git_sha``
+    (modified or untracked files), so such numbers are not read as the
+    commit's own, and ``None`` outside a git checkout.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -749,6 +752,8 @@ def environment() -> dict:
         "nproc": os.cpu_count() or 1,
         "blas": blas,
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_ENV},
+        "worker_start_method": fleet.START_METHOD,
+        "worker_preload": list(fleet.PRELOAD),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "platform": platform.platform(),

@@ -33,9 +33,9 @@ __all__ = ["ExperimentSpec", "register", "unregister", "get_spec",
 
 #: Comma-separated module names imported (and thereby registered) alongside the
 #: built-in drivers.  This is how out-of-tree specs become resolvable inside
-#: spawned pool workers, which re-resolve every spec by name in a fresh
-#: interpreter: the environment variable is inherited by the worker process,
-#: so :func:`ensure_loaded` re-imports the same modules there.
+#: sweep workers, which re-resolve every spec by name in a clean process: the
+#: fleet ships the parent's environment to every worker, so
+#: :func:`ensure_loaded` re-imports the same modules there.
 EXTRA_MODULES_ENV = "REPRO_EXPERIMENT_MODULES"
 
 

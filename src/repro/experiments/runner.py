@@ -55,8 +55,8 @@ ARTIFACT_FORMAT_VERSION = 3
 #: While an experiment driver runs, this environment variable points at the
 #: directory where it (and any grid-cell worker process it fans out to)
 #: should drop servable model bundles.  An environment variable rather than a
-#: Python context so the location survives the spawn boundary of per-model
-#: grids.
+#: Python context so the location crosses the process boundary of per-model
+#: grids (the fleet ships the parent's environment to every worker).
 BUNDLE_DIR_ENV = "REPRO_BUNDLE_DIR"
 
 

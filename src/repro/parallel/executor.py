@@ -10,7 +10,7 @@ experiment (one task per model).  Guarantees:
 * **One attempt loop** — :func:`_run_one` drives every task through
   :func:`~repro.parallel.worker.execute_task`: inline when ``jobs <= 1``,
   else as one job on a fleet of long-lived ``repro-sweep-<rank>`` workers
-  (fresh interpreters).  Callbacks run on the calling thread, and each task
+  (forks of the fleet's preloaded server).  Callbacks run on the calling thread, and each task
   emits the same event stream at every ``jobs``.
 * **Failure containment** — a task that raises is retried up to ``retries``
   times, then reported as a failed :class:`TaskResult`.  A worker death is

@@ -9,10 +9,9 @@ data-parallel trainer (:class:`~repro.training.DataParallelTrainer`,
 
 * **Parent side** — :class:`WorkerFleet`, a base class the owner inherits.
   Every worker has one long-lived dispatcher thread,
-  ``repro-<role>-dispatch-<rank>``, which spawns its worker (always with
-  the ``spawn`` start method) and then runs the owner's
-  jobs on it: :meth:`_submit` hands ``job(handle)`` to the next idle
-  dispatcher and returns a :class:`~concurrent.futures.Future`.  Workers
+  ``repro-<role>-dispatch-<rank>``, which starts its worker and then runs
+  the owner's jobs on it: :meth:`_submit` hands ``job(handle)`` to the next
+  idle dispatcher and returns a :class:`~concurrent.futures.Future`.  Workers
   boot concurrently; :meth:`_start_workers` waits for every ready ack and
   reaps them all on any failure.  A job reaches its worker through
   :meth:`_call`.  Each worker has its own pipe, so a death belongs to the
@@ -27,6 +26,26 @@ data-parallel trainer (:class:`~repro.training.DataParallelTrainer`,
   inside sees ``effective_jobs() == 1`` and cannot spawn pools of pools),
   seeds it with ``derive_seed(seed, role, rank)``, builds the owner's state,
   and answers commands until told to stop.
+
+Process start: every worker of every fleet is started with the
+``forkserver`` method.  The first fleet in a process (or an earlier
+:func:`start_forkserver` call) boots one server interpreter, which imports
+:data:`PRELOAD` once; each worker, respawn and later fleet of that process
+is then a fork of that server (tens of milliseconds) instead of a fresh
+interpreter importing numpy and the package (about half a second).  Workers
+never fork from the owner itself, so none inherits its threads, dynamically
+registered specs, RNG state or sibling pipes.  Two consequences:
+
+* A fork carries the server's environment as of the server's start, so the
+  parent ships ``dict(os.environ)`` with every worker config and
+  :func:`serve_worker` installs it before ``setup``.  Variables read at
+  import time by C libraries (the BLAS thread counts) take effect as of the
+  server's start: the first fleet of a process.
+* The server finds :data:`PRELOAD` only through ``PYTHONPATH`` or an
+  installed package (Python's forkserver does not pass it the parent's
+  ``sys.path``).  A failed preload is skipped: each worker then imports on
+  its own, with the same bytes and none of the gain.  The ready ack's
+  ``preloaded`` flag says which happened.
 
 Wire protocol, one pickle per message: the child first sends ``("ready",
 info)``, or ``("fatal", message, traceback)`` when setup raised, so start
@@ -49,7 +68,32 @@ from multiprocessing import get_context
 from .seeding import derive_seed, seed_task_globals
 from .worker import DEPTH_ENV, effective_jobs, parallel_depth
 
-__all__ = ["WorkerFleet", "WorkerHandle", "serve_worker"]
+__all__ = ["START_METHOD", "PRELOAD", "WorkerFleet", "WorkerHandle",
+           "serve_worker", "start_forkserver"]
+
+#: How every fleet worker is started.
+START_METHOD = "forkserver"
+#: Modules the fork server imports once, before its first fork.
+PRELOAD = ("repro",)
+#: The pid that imported this module.  A worker forked from a server that
+#: preloaded :data:`PRELOAD` sees the server's pid here, not its own.
+_IMPORTED_IN_PID = os.getpid()
+
+
+def start_forkserver() -> None:
+    """Boot this process's fork server unless it is running; idempotent.
+
+    Returns once the server process is launched: it imports :data:`PRELOAD`
+    while the caller goes on, and answers fork requests after that.  Every
+    fleet calls this before its first worker; a caller that knows a fleet
+    is coming (``repro serve`` with a ``pool`` model) calls it early, so the
+    server's boot overlaps its own work.  Imports the forkserver machinery
+    on first use, so processes that start no fleet never load it.
+    """
+    from multiprocessing import forkserver
+
+    forkserver.set_forkserver_preload(list(PRELOAD))
+    forkserver.ensure_running()
 
 
 class WorkerHandle:
@@ -105,7 +149,6 @@ class WorkerFleet:
         self.restarts = 0
         self._closed = False
         self._restarts_lock = threading.Lock()
-        self._context = get_context("spawn")
         self._workers: list[WorkerHandle] = []
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._dispatchers: list[threading.Thread] = []
@@ -117,8 +160,8 @@ class WorkerFleet:
         """``(target, config)``: the child entry point and its config dict.
 
         The target is called as ``target(rank, conn, config)`` and must end
-        in :func:`serve_worker`.  It is looked up on every spawn, so a
-        replaced module attribute takes effect for later workers.
+        in :func:`serve_worker`.  It is looked up on every worker start, so
+        a replaced module attribute takes effect for later workers.
         """
         raise NotImplementedError
 
@@ -127,10 +170,11 @@ class WorkerFleet:
     def _start_workers(self, size: int) -> None:
         """Boot ranks ``0..size-1`` concurrently, one dispatcher thread each.
 
-        Each dispatcher spawns its own worker; this waits for every ready
+        Each dispatcher starts its own worker; this waits for every ready
         ack, and on any failure stops the dispatchers, reaps every worker and
         re-raises the first error by rank.
         """
+        start_forkserver()
         handles = [WorkerHandle(rank) for rank in range(size)]
         booted = [Future() for _ in handles]
         jobs = queue.SimpleQueue()
@@ -188,11 +232,13 @@ class WorkerFleet:
     def _spawn(self, handle: WorkerHandle) -> None:
         """Start (or restart) one worker process and wait for its ready ack."""
         target, config = self._worker_spec()
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
+        context = get_context(START_METHOD)
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
             target=target,
             args=(handle.rank, child_conn,
-                  {**config, "depth": parallel_depth() + 1}),
+                  {**config, "depth": parallel_depth() + 1,
+                   "environ": dict(os.environ)}),
             name=f"repro-{self.fleet_role}-{handle.rank}",
             daemon=True)
         process.start()
@@ -332,8 +378,11 @@ def serve_worker(conn, role: str, rank: int, config: dict, setup,
     ``(name, *args)`` then runs ``handlers[name](state, *args)`` and its
     return value travels back as the ``ok`` payload.  A handler that raises
     is reported as ``("error", message, traceback)`` and the worker keeps
-    serving.
+    serving.  The parent's environment, shipped in ``config["environ"]``,
+    replaces the one inherited from the fork server first.
     """
+    os.environ.clear()
+    os.environ.update(config["environ"])
     os.environ[DEPTH_ENV] = str(config.get("depth", 1))
     seed = derive_seed(config.get("seed", 0), role, rank)
     seed_task_globals(seed)
@@ -352,6 +401,7 @@ def serve_worker(conn, role: str, rank: int, config: dict, setup,
         "seed": seed,
         "depth": int(os.environ[DEPTH_ENV]),
         "effective_jobs": effective_jobs(),
+        "preloaded": _IMPORTED_IN_PID != os.getpid(),
     }))
     try:
         while True:

@@ -5,9 +5,11 @@ dotted ``"module:function"`` reference plus primitive kwargs — so the payload
 pickles trivially and the worker re-imports and re-resolves everything by name
 (the same way the experiment runner re-resolves an
 :class:`~repro.experiments.registry.ExperimentSpec` from the registry).
-Workers always start with the ``spawn`` method, from a clean interpreter:
-``fork`` would leak the parent's dynamically registered specs and global RNG
-state into them and break the byte-identity of N workers against one.
+Workers are forks of the fleet's fork server, a clean interpreter that has
+only imported the package (see :mod:`repro.parallel.fleet`); they never fork
+from the owner itself, which would leak its dynamically registered specs,
+global RNG state and threads into them and break the byte-identity of N
+workers against one.
 
 :func:`execute_task` converts *all* task exceptions into a structured failure
 payload (with the formatted traceback) instead of letting them propagate: a

@@ -72,6 +72,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
+from ..parallel.fleet import start_forkserver
 from .batching import DEFAULT_MAX_WAIT_MS
 from .engine import EngineClosed, QueueFull, check_engine_name
 from .router import ModelRouter
@@ -445,7 +446,8 @@ def serve(models: dict, host: str = "127.0.0.1", port: int = 8000,
     serving); ``admin=False`` disables the ``/v1/admin`` control-plane
     routes.  Bad specs, engine names and ``default_model`` fail before
     anything loads; a failure while loading closes the models already
-    mounted.  SIGINT/SIGTERM shut down
+    mounted.  When a model uses the pool, the fleet's fork server boots
+    before any model loads, overlapping them.  SIGINT/SIGTERM shut down
     gracefully: the queue drains, queued futures fail with a clear error
     instead of hanging their clients, then the process exits.  ``ready``, if
     given, is called with the bound server before the serve loop starts
@@ -472,6 +474,8 @@ def serve(models: dict, host: str = "127.0.0.1", port: int = 8000,
         raise KeyError(f"unknown model {default_model!r}; available models: "
                        f"{', '.join(sorted(specs))}")
 
+    if any(spec["engine"] == "pool" for spec in specs.values()):
+        start_forkserver()  # the worker server boots while the bundles load
     router = ModelRouter()
     try:
         for name, spec in specs.items():

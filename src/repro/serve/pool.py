@@ -34,8 +34,11 @@ still-queued futures with :class:`~repro.serve.engine.EngineClosed`, then
 stops the fleet, terminating a worker whose forward outlasts the timeout.
 
 Cost model versus the single-process engines: each worker holds a full copy
-of the bundle (memory is N × bundle) and the workers' concurrent boot adds
-~1 s of startup, in exchange for throughput that scales with cores.  See the
+of the bundle (memory is N × bundle) and loads it at boot, in exchange for
+throughput that scales with cores.  Workers are forks of the fleet's
+preloaded server, so a boot or respawn costs the bundle load plus tens of
+milliseconds; the server itself boots once per process (~0.5 s, which
+``repro serve`` overlaps with loading its models).  See the
 "choosing an engine" table in ARCHITECTURE.md.
 """
 
@@ -223,8 +226,9 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
         ``plan_cache`` aggregates every worker's own cache counters (each
         process warms independently); ``per_worker`` carries the identity
         facts the determinism and depth tests pin (pid, derived seed, depth,
-        ``effective_jobs`` as observed inside the worker) next to each
-        worker's serving counters.
+        ``effective_jobs`` as observed inside the worker, and whether it was
+        forked from a preloaded server) next to each worker's serving
+        counters.
         """
         stats = super().stats()
         stats["restarts"] = self.restarts
@@ -244,6 +248,7 @@ class ProcessPoolEngine(QueuedEngine, WorkerFleet):
                 "seed": worker.info.get("seed"),
                 "depth": worker.info.get("depth"),
                 "effective_jobs": worker.info.get("effective_jobs"),
+                "preloaded": worker.info.get("preloaded"),
                 "batches": worker.last_stats.get("batches", 0),
                 "samples": worker.last_stats.get("samples", 0),
                 "plan_cache": worker_plan,

@@ -11,7 +11,7 @@ data parallelism built around one load-bearing distinction:
   execution detail.**  Shards run through the *same* function
   (:func:`~repro.training.dp_worker.compute_shard_gradients`) on the *same*
   arrays whether they execute inline in the parent (``workers=1``) or on
-  spawned worker processes (``workers>1``), and the parent-side reduction is
+  fleet worker processes (``workers>1``), and the parent-side reduction is
   the same rank-ordered code in both modes — so for a fixed ``world_size``,
   training is **byte-identical across any worker count**, which is the
   reproducibility contract CI pins (checkpoint sha256 equality between
@@ -283,6 +283,7 @@ class DataParallelTrainer(Trainer, WorkerFleet):
                 "alive": handle.alive,
                 "seed": handle.info.get("seed"),
                 "depth": handle.info.get("depth"),
+                "preloaded": handle.info.get("preloaded"),
                 "restarts": handle.restarts,
             } for handle in self._workers],
         }

@@ -1,12 +1,15 @@
 """WorkerFleet: start failures, isolate-and-retry, remote errors, shutdown.
 
 The workers run a tiny echo/crash target, so no model is ever loaded, except
-in the last class, which closes each of the three real owners.
+in the last two classes, which close each of the three real owners and check
+how their workers boot from the fork server.
 """
 
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -362,3 +365,145 @@ class TestOwnersCloseClean:
         close(tmp_path, kill)
         assert _repro_threads() == threads
         assert _children() == baseline
+
+
+PROBE_ENV = "FLEET_PROBE_ENV"
+
+
+def _pool_engine(tmp_path):
+    from repro.io import save_bundle
+    from repro.models import SimpleCNN
+    from repro.serve import InferenceSession, ProcessPoolEngine
+
+    model = SimpleCNN(num_classes=4, neuron_type="proposed", rank=2,
+                      base_width=4, image_size=8, seed=0)
+    bundle = save_bundle(tmp_path / "model.npz", model,
+                         info={"input_shape": [3, 8, 8]})
+    return ProcessPoolEngine(InferenceSession(bundle, max_batch=4), workers=2)
+
+
+def env_probe_pool_main(rank, conn, config):
+    """A pool worker that also answers ``("getenv", name)``."""
+    from repro.serve import pool
+
+    serve_worker(conn, "serve-pool", rank, config, pool._load_session,
+                 {"predict": pool._predict, "warm": pool._warm,
+                  "getenv": lambda session, name: os.environ.get(name)})
+
+
+def _pool_preloaded(tmp_path):
+    engine = _pool_engine(tmp_path)
+    try:
+        return [worker["preloaded"] for worker in engine.stats()["per_worker"]]
+    finally:
+        engine.close()
+
+
+def _trainer_preloaded(tmp_path):
+    from repro import nn
+    from repro.data import DataLoader
+    from repro.models import MLPClassifier
+    from repro.optim import SGD
+    from repro.training import DataParallelTrainer
+
+    model = MLPClassifier(8, 2, hidden_sizes=(16,), seed=0)
+    with DataParallelTrainer(model, SGD(model.parameters(), lr=0.1),
+                             nn.CrossEntropyLoss(), world_size=2, workers=2,
+                             seed=0) as trainer:
+        trainer.fit(DataLoader(np.ones((8, 8), dtype=np.float32),
+                               np.zeros(8, dtype=np.int64), batch_size=8),
+                    epochs=1)
+        return [worker["preloaded"]
+                for worker in trainer.describe()["per_worker"]]
+
+
+def _sweep_preloaded(tmp_path):
+    from repro.parallel.executor import _SweepFleet
+
+    fleet = _SweepFleet()
+    fleet._start_workers(2)
+    try:
+        return [handle.info["preloaded"] for handle in fleet._workers]
+    finally:
+        fleet._stop_workers()
+
+
+#: Builds a two-worker trainer, prints its worker pids and the fork server's
+#: pid, then waits to be killed.
+ORPHAN_SCRIPT = """
+import json, sys
+from multiprocessing import forkserver
+import numpy as np
+from repro import nn
+from repro.data import DataLoader
+from repro.models import MLPClassifier
+from repro.optim import SGD
+from repro.training import DataParallelTrainer
+
+model = MLPClassifier(8, 2, hidden_sizes=(16,), seed=0)
+trainer = DataParallelTrainer(model, SGD(model.parameters(), lr=0.1),
+                              nn.CrossEntropyLoss(), world_size=2, workers=2)
+trainer.fit(DataLoader(np.ones((8, 8), dtype=np.float32),
+                       np.zeros(8, dtype=np.int64), batch_size=8), epochs=1)
+print(json.dumps({
+    "workers": [worker["pid"] for worker in trainer.describe()["per_worker"]],
+    "forkserver": forkserver._forkserver._forkserver_pid}), flush=True)
+sys.stdin.read()
+"""
+
+
+def _running(pid):
+    """Has ``pid`` not exited?  A zombie has exited; its reaper is not ours."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+
+
+class TestForkserverBoot:
+    @pytest.mark.parametrize("preloaded", [_pool_preloaded, _trainer_preloaded,
+                                           _sweep_preloaded],
+                             ids=["pool", "trainer", "sweep"])
+    def test_every_owner_forks_workers_from_the_preloaded_server(
+            self, tmp_path, preloaded):
+        assert preloaded(tmp_path) == [True, True]
+
+    def test_workers_see_the_environment_at_their_start(self, tmp_path,
+                                                        monkeypatch):
+        from repro.parallel import Task, run_tasks
+        from repro.serve import pool
+
+        engine = _pool_engine(tmp_path)  # the fork server is up from here on
+        try:
+            monkeypatch.setenv(PROBE_ENV, "set after the server booted")
+            tasks = [Task(key=f"t{index}", fn="os:getenv",
+                          kwargs={"key": PROBE_ENV}) for index in range(2)]
+            assert [result.value for result in run_tasks(tasks, jobs=2)] == \
+                ["set after the server booted"] * 2
+            monkeypatch.setattr(pool, "worker_main", env_probe_pool_main)
+            _sigkill(engine._workers[0].process)
+            assert engine._call(engine._workers[0], ("getenv", PROBE_ENV)) == \
+                "set after the server booted"
+            assert engine.restarts == 1
+        finally:
+            engine.close()
+
+    def test_no_process_outlives_a_sigkilled_owner(self):
+        owner = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                 text=True)
+        try:
+            started = json.loads(owner.stdout.readline())
+            pids = started["workers"] + [started["forkserver"]]
+            assert len(set(pids)) == 3 and all(map(_running, pids))
+        finally:
+            owner.kill()
+            owner.wait(30)
+            owner.stdin.close()
+            owner.stdout.close()
+        deadline = time.monotonic() + 30
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]

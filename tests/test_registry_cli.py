@@ -387,11 +387,14 @@ class TestBenchGates:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         environment = bench.build_summary({}, {}, scale="smoke",
                                           started=0.0)["environment"]
-        assert set(environment) == {"nproc", "blas", "blas_threads", "numpy",
-                                    "python", "platform", "git_sha",
+        assert set(environment) == {"nproc", "blas", "blas_threads",
+                                    "worker_start_method", "worker_preload",
+                                    "numpy", "python", "platform", "git_sha",
                                     "git_dirty"}
         assert environment["nproc"] >= 1
         assert environment["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert environment["worker_start_method"] == "forkserver"
+        assert environment["worker_preload"] == ["repro"]
         assert set(environment["blas"]) == {"name", "version"}
         assert environment["numpy"] == np.__version__
         assert environment["git_sha"]
